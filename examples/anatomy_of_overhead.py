@@ -13,7 +13,7 @@ numbers happen, on one kernel:
 Run:  python examples/anatomy_of_overhead.py
 """
 
-from repro.analysis import MlpProbe, PipelineTimeline, TaintWindowProbe
+from repro.analysis import CycleTracer, MlpProbe, TaintWindowProbe, render_timeline
 from repro.common import AttackModel, MachineConfig
 from repro.core import SdoProtection, make_predictor
 from repro.common.config import PredictorKind
@@ -77,14 +77,15 @@ def main() -> None:
     }
     print(f"{'scheme':18s} {'cycles':>7s} {'mean MLP':>9s} {'peak':>5s} "
           f"{'taint windows (mean/p90)':>26s}")
-    timelines = {}
+    traces = {}
     for name, protection in schemes.items():
         core = build(protection)
         mlp = MlpProbe(core)
         windows = TaintWindowProbe(core) if protection else None
-        timeline = PipelineTimeline(core)
+        tracer = CycleTracer().attach(core)
         result = core.run()
-        timelines[name] = timeline
+        tracer.close()
+        traces[name] = tracer.records()
         if windows and windows.windows.count:
             window_text = f"{windows.mean_window:8.1f} / {windows.percentile(0.9):4d}"
         else:
@@ -94,7 +95,7 @@ def main() -> None:
 
     print("\nPipeline diagram: one window of the loop under STT+SDO")
     print("(F fetch, D dispatch, I issue, C complete, R retire; O = Obl-Ld)\n")
-    print(timelines["STT+SDO (Hybrid)"].render(first=40, count=14, width=60))
+    print(render_timeline(traces["STT+SDO (Hybrid)"], first=40, count=14, width=60))
     print(
         "\nReading: STT's taint windows are dead time for every tainted load;"
         "\nSDO issues those loads obliviously inside the window, so the miss"

@@ -10,6 +10,9 @@ do:
 * **MLP** is the number of long-latency loads in flight simultaneously.
   STT's delays serialize dependent-miss chains (MLP -> 1); SDO restores the
   overlap.  :class:`MlpProbe` samples in-flight miss counts per cycle.
+
+Both subscribe to the core they are built with, as
+:class:`~repro.pipeline.core.CoreObserver` subclasses.
 """
 
 from __future__ import annotations
@@ -18,51 +21,37 @@ from dataclasses import dataclass
 
 from repro.common.config import MemLevel
 from repro.common.stats import Histogram
-from repro.pipeline.core import Core
+from repro.pipeline.core import Core, CoreObserver
+from repro.pipeline.protection import IssueDecision, LoadIssueAction
 from repro.pipeline.uop import DynInst
 
 
-class TaintWindowProbe:
+class TaintWindowProbe(CoreObserver):
     """Histogram of (safe_cycle - ready_cycle) per protected load.
 
-    Ready is approximated by the load's first delayed/issued cycle; safe is
-    when the protection declared the output safe (event C) — for loads that
-    were never tainted the window is 0 and is *not* recorded.
+    Ready is approximated by the load's first issue decision; safe is when
+    the protection declared the output safe (event C) — for loads that were
+    never tainted the window is 0 and is *not* recorded.
     """
 
     def __init__(self, core: Core) -> None:
-        self.core = core
         self.windows = Histogram()
         self._ready_at: dict[int, int] = {}
-        self._wrap(core)
+        core.attach_observer(self)
 
-    def _wrap(self, core: Core) -> None:
-        from repro.pipeline.protection import LoadIssueAction
+    def on_load_decision(
+        self, uop: DynInst, cycle: int, decision: IssueDecision
+    ) -> None:
+        ready = self._ready_at.setdefault(uop.seq, cycle)
+        if decision.action is not LoadIssueAction.DELAY and uop.delayed_cycles > 0:
+            # An STT-delayed load finally issuing: its window just closed.
+            self.windows.add(max(0, cycle - ready))
 
-        original_decision = core.protection.load_issue_decision
-        original_safe = core._on_became_safe
-
-        def decision(uop: DynInst):
-            result = original_decision(uop)
-            if uop.seq not in self._ready_at:
-                self._ready_at[uop.seq] = core.cycle
-            if (
-                result.action is not LoadIssueAction.DELAY
-                and uop.delayed_cycles > 0
-            ):
-                # An STT-delayed load finally issuing: its window just closed.
-                self.windows.add(max(0, core.cycle - self._ready_at[uop.seq]))
-            return result
-
-        def became_safe(uop: DynInst):
-            ready = self._ready_at.get(uop.seq)
-            if ready is not None and uop.is_load and uop.delayed_cycles == 0:
-                # An Obl-Ld that issued immediately: window closes at C.
-                self.windows.add(max(0, core.cycle - ready))
-            original_safe(uop)
-
-        core.protection.load_issue_decision = decision
-        core._on_became_safe = became_safe
+    def on_safe(self, uop: DynInst, cycle: int) -> None:
+        ready = self._ready_at.get(uop.seq)
+        if ready is not None and uop.is_load and uop.delayed_cycles == 0:
+            # An Obl-Ld that issued immediately: window closes at C.
+            self.windows.add(max(0, cycle - ready))
 
     @property
     def mean_window(self) -> float:
@@ -78,57 +67,32 @@ class MlpSample:
     outstanding: int
 
 
-class MlpProbe:
+class MlpProbe(CoreObserver):
     """Samples the number of outstanding long-latency loads per cycle.
 
-    A load counts as outstanding between issue and completion if its
-    residence was below the L1 (it is a "miss" from the core's viewpoint).
+    A load counts as outstanding from issue until it completes or is
+    squashed, if its residence was below the L1 (it is a "miss" from the
+    core's viewpoint).
     """
 
-    def __init__(self, core: Core, sample_every: int = 1) -> None:
-        self.core = core
-        self.sample_every = max(1, sample_every)
+    def __init__(self, core: Core) -> None:
         self.samples: list[MlpSample] = []
-        self._in_flight: dict[int, int] = {}  # seq -> issue cycle
-        self._wrap(core)
+        self.in_flight: dict[int, int] = {}  # seq -> issue cycle
+        core.attach_observer(self)
 
-    def _wrap(self, core: Core) -> None:
-        original_normal = core._issue_load_normal
-        original_obl = core._issue_load_oblivious
-        original_buffered = core._issue_load_buffered
-        original_writeback = core._writeback
-        original_step = core.step
+    def on_issue(self, uop: DynInst, cycle: int) -> None:
+        level = uop.actual_level
+        if uop.is_load and level is not None and level > MemLevel.L1:
+            self.in_flight[uop.seq] = cycle
 
-        def track(uop):
-            if uop.actual_level is not None and uop.actual_level > MemLevel.L1:
-                self._in_flight[uop.seq] = core.cycle
+    def on_complete(self, uop: DynInst, cycle: int) -> None:
+        self.in_flight.pop(uop.seq, None)
 
-        def issue_normal(uop, forward, decision):
-            original_normal(uop, forward, decision)
-            track(uop)
+    on_squash = on_complete  # a squashed load never writes back
 
-        def issue_obl(uop, forward, decision):
-            original_obl(uop, forward, decision)
-            track(uop)
-
-        def issue_buffered(uop, forward, decision):
-            original_buffered(uop, forward, decision)
-            track(uop)
-
-        def writeback(uop, value):
-            original_writeback(uop, value)
-            self._in_flight.pop(uop.seq, None)
-
-        def step():
-            original_step()
-            if core.cycle % self.sample_every == 0 and self._in_flight:
-                self.samples.append(MlpSample(core.cycle, len(self._in_flight)))
-
-        core._issue_load_normal = issue_normal
-        core._issue_load_oblivious = issue_obl
-        core._issue_load_buffered = issue_buffered
-        core._writeback = writeback
-        core.step = step
+    def on_cycle_end(self, cycle: int) -> None:
+        if self.in_flight:
+            self.samples.append(MlpSample(cycle, len(self.in_flight)))
 
     @property
     def mean_mlp(self) -> float:

@@ -1,10 +1,10 @@
 """Opt-in cycle-accurate pipeline trace recording.
 
-A :class:`CycleTracer` attaches to a :class:`~repro.pipeline.core.Core` as
-``core.tracer`` and receives one callback per pipeline event (fetch,
-dispatch/rename, issue, complete, commit, squash).  Tracing is disabled by
-default; when no tracer is attached the core pays one ``is not None`` check
-per event.
+A :class:`CycleTracer` is a :class:`~repro.pipeline.core.CoreObserver`:
+it subscribes to a core's pipeline events (fetch, dispatch/rename, issue,
+complete, commit, squash) and keeps one :class:`TraceRecord` per uop.
+Tracing is disabled by default; with no observer attached the core pays
+one check per event.
 
 Two export formats, selectable independently:
 
@@ -24,13 +24,13 @@ Two export formats, selectable independently:
 
 Without any output path the tracer degrades to an in-memory ring buffer of
 the most recent ``buffer_capacity`` finished records — useful for tests and
-interactive inspection via :meth:`CycleTracer.records`.
+interactive inspection via :meth:`CycleTracer.records`.  Over those
+records, :func:`render_timeline` draws a text pipeline diagram and
+:func:`average_latency` gives the mean fetch-to-commit latency.
 
-Attaching a tracer disables the core's event-driven fast-forward
-(``Core.run`` checks ``tracer is None`` before skipping idle cycles): a
-trace must contain every cycle, so traced runs always take the naive
-one-step-per-cycle loop.  Results are bit-identical either way; only wall
-time differs.
+Like any observer, an attached tracer disables the core's event-driven
+fast-forward: traced runs take the naive one-step-per-cycle loop.  Results
+are bit-identical either way; only wall time differs.
 """
 
 from __future__ import annotations
@@ -40,6 +40,8 @@ from collections import deque
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, TextIO
+
+from repro.pipeline.core import CoreObserver
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.pipeline.core import Core
@@ -82,7 +84,7 @@ class TraceRecord:
         return payload
 
 
-class CycleTracer:
+class CycleTracer(CoreObserver):
     """Records per-uop milestone cycles; exports JSONL and/or Konata.
 
     Attach with :meth:`attach` *before* ``core.run()`` and call
@@ -120,18 +122,14 @@ class CycleTracer:
         self._closed = False
 
     # ------------------------------------------------------------------ #
-    # Core hooks (called from the pipeline's hot path)
+    # Core events (called from the pipeline's hot path)
     # ------------------------------------------------------------------ #
 
     def attach(self, core: "Core") -> "CycleTracer":
-        """Attach to ``core``.
-
-        Side effect: the core's idle-cycle fast-forward turns off for the
-        whole run — every cycle must reach the trace.
-        """
-        if core.tracer is not None and core.tracer is not self:
+        """Subscribe to ``core``'s events (at most one tracer per core)."""
+        if any(isinstance(o, CycleTracer) for o in core.observers):
             raise RuntimeError("core already has a tracer attached")
-        core.tracer = self
+        core.attach_observer(self)
         self.core = core
         return self
 
@@ -262,8 +260,8 @@ class CycleTracer:
         if self.konata_path is not None:
             self.konata_path.write_text(render_konata(self._konata))
             self._konata = []
-        if self.core is not None and self.core.tracer is self:
-            self.core.tracer = None
+        if self.core is not None:
+            self.core.detach_observer(self)
         return summary
 
     def __enter__(self) -> "CycleTracer":
@@ -314,3 +312,51 @@ def render_konata(records: list[TraceRecord]) -> str:
             current = cycle
         lines.append(line)
     return "\n".join(lines) + "\n"
+
+
+def render_timeline(
+    records: list[TraceRecord], first: int = 0, count: int = 32, width: int = 64
+) -> str:
+    """Text pipeline diagram of ``count`` uops, starting at index ``first``
+    of the retired stream in ``records``::
+
+        cycles 100..137 (1 column = 1 cycle(s))
+           311    6 O load r6 r5 1048576          F  D    I==R
+
+    Legend: F fetch, D dispatch/rename, I issue, ``=`` execute, C complete,
+    R retire; ``O`` marks a uop that issued obliviously.
+    """
+    retired = sorted((r for r in records if r.retired), key=lambda r: r.seq)
+    shown = retired[first : first + count]
+    if not shown:
+        return "(no retired uops recorded)"
+    base = min(r.fetch for r in shown)
+    span = max(r.commit for r in shown) - base + 1
+    scale = max(1, (span + width - 1) // width)
+    lines = [f"cycles {base}..{base + span} (1 column = {scale} cycle(s))"]
+    for record in shown:
+        row = [" "] * width
+
+        def mark(cycle: int, char: str) -> None:
+            if cycle >= 0:
+                row[min(width - 1, (cycle - base) // scale)] = char
+
+        if record.issue >= 0 and record.complete >= 0:
+            for cycle in range(record.issue, record.complete + 1, scale):
+                mark(cycle, "=")
+        mark(record.fetch, "F")
+        mark(record.dispatch, "D")
+        mark(record.issue, "I")
+        mark(record.complete, "C")
+        mark(record.commit, "R")
+        tag = "O" if record.oblivious else " "
+        lines.append(
+            f"{record.seq:6d} {record.pc:4d} {tag} {record.op[:26]:26s} {''.join(row)}"
+        )
+    return "\n".join(lines)
+
+
+def average_latency(records: list[TraceRecord]) -> float:
+    """Mean fetch-to-commit cycles over the retired records."""
+    latencies = [r.commit - r.fetch for r in records if r.retired and r.fetch >= 0]
+    return sum(latencies) / len(latencies) if latencies else 0.0

@@ -22,10 +22,13 @@ Observability: every cycle is attributed either to productive commit
 the ROB head (``core.stall.*`` — frontend starvation, operand waits,
 execution/memory latency, STT delay, DO-variant wait, validation wait…),
 so the stall counters sum exactly to the non-committing cycles.  Per-stage
-occupancy integrals (``core.occ.*``) and structure peaks ride along.  An
-optional :class:`~repro.analysis.trace.CycleTracer` can be attached as
-``core.tracer``; when it is ``None`` (the default) the hooks cost one
-attribute check per pipeline event.
+occupancy integrals (``core.occ.*``) and structure peaks ride along.
+
+Observation goes through one protocol, :class:`CoreObserver`: the cycle
+tracer and the analysis probes subscribe with :meth:`Core.attach_observer`
+and receive the pipeline's events.  With no observer attached (the
+default) each event site costs one check of the empty ``core.observers``
+tuple; with any attached, the run takes the naive one-step-per-cycle loop.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ from repro.isa.instructions import Opcode, OpClass, is_subnormal
 from repro.isa.iss import ArchState, Interpreter, execute_instruction, wrap64
 from repro.isa.program import Program
 from repro.memory.hierarchy import MemoryHierarchy
-from repro.memory.observer import ResourceObserver
 from repro.pipeline.lsq import LoadQueue, StoreQueue
 from repro.pipeline.protection import (
     FP_DECISION_COUNTERS,
@@ -112,6 +114,44 @@ class GoldenReference:
 
     def step(self):  # pragma: no cover - protocol stub
         raise NotImplementedError
+
+
+class CoreObserver:
+    """No-op base of the core's observation protocol.
+
+    Subclasses override the events they need; the core calls every attached
+    observer's method at the matching pipeline point.  Observers read the
+    uop but never change it, so attaching one never changes results.
+    """
+
+    def on_fetch(self, uop: DynInst, cycle: int) -> None:
+        """``uop`` entered the decode queue."""
+
+    def on_dispatch(self, uop: DynInst, cycle: int) -> None:
+        """``uop`` was renamed into the ROB."""
+
+    def on_load_decision(
+        self, uop: DynInst, cycle: int, decision: IssueDecision
+    ) -> None:
+        """The protection scheme decided on a ready load (``DELAY`` too)."""
+
+    def on_issue(self, uop: DynInst, cycle: int) -> None:
+        """``uop`` issued (loads: after their issue gate ran)."""
+
+    def on_complete(self, uop: DynInst, cycle: int) -> None:
+        """``uop`` wrote back its result."""
+
+    def on_safe(self, uop: DynInst, cycle: int) -> None:
+        """A protected load or FP op became safe (event C)."""
+
+    def on_squash(self, uop: DynInst, cycle: int) -> None:
+        """``uop`` was squashed (from the ROB or the decode queue)."""
+
+    def on_commit(self, uop: DynInst, cycle: int) -> None:
+        """``uop`` retired."""
+
+    def on_cycle_end(self, cycle: int) -> None:
+        """Every stage of ``cycle`` has run."""
 
 
 class DeadlockError(RuntimeError):
@@ -248,8 +288,8 @@ class Core:
     #: stepping by construction — so it has no business in the result-cache
     #: key.  Set to ``False`` (per instance, or on the class to cover
     #: ``execute()``-built cores) to force the naive one-``step()``-per-cycle
-    #: loop; attaching a tracer disables skipping automatically (the tracer
-    #: wants to see every cycle).
+    #: loop; attaching any observer disables skipping automatically
+    #: (observers see every cycle).
     fast_forward = True
 
     def __init__(
@@ -258,14 +298,12 @@ class Core:
         config: MachineConfig | None = None,
         protection: ProtectionScheme | None = None,
         hierarchy: MemoryHierarchy | None = None,
-        observer: ResourceObserver | None = None,
         check_golden: bool = True,
         golden: "GoldenReference | None" = None,
     ) -> None:
         self.program = program
         self.config = config or MachineConfig()
-        self.observer = observer or ResourceObserver(enabled=False)
-        self.hierarchy = hierarchy or MemoryHierarchy(self.config, self.observer)
+        self.hierarchy = hierarchy or MemoryHierarchy(self.config)
         self.protection = protection or UnsafeProtection()
         self.check_golden = check_golden
 
@@ -326,9 +364,9 @@ class Core:
         self._occ_decode = 0
         self._stall_counts: dict[str, int] = {}
 
-        #: Optional :class:`~repro.analysis.trace.CycleTracer`; ``None`` by
-        #: default — the per-event hook is a single ``is not None`` check.
-        self.tracer = None
+        #: Attached observers (:class:`CoreObserver`), in attach order (see
+        #: :meth:`attach_observer`); empty by default.
+        self.observers: tuple[CoreObserver, ...] = ()
 
         # Fast-forward telemetry (plain attributes, deliberately not stats
         # counters: the stats dict must stay bit-identical between the
@@ -359,6 +397,17 @@ class Core:
     #: budget a wedged machine would otherwise silently spin to.
     DEFAULT_HANG_WINDOW = 50_000
 
+    def attach_observer(self, observer: CoreObserver) -> None:
+        """Subscribe ``observer`` to the pipeline events.
+
+        Side effect: the run's idle-cycle fast-forward turns off, since
+        observers see every cycle.  Attach before :meth:`run`.
+        """
+        self.observers = (*self.observers, observer)
+
+    def detach_observer(self, observer: CoreObserver) -> None:
+        self.observers = tuple(o for o in self.observers if o is not observer)
+
     def run(
         self,
         max_instructions: int = 1_000_000,
@@ -383,7 +432,7 @@ class Core:
         target = self.stats["instructions"] + max_instructions
         skipping = (
             self.fast_forward
-            and self.tracer is None
+            and not self.observers
             and self.protection.supports_fast_forward
         )
         while not self.halted and self.cycle < max_cycles:
@@ -519,6 +568,9 @@ class Core:
             self._issue_active_cycles += 1
         if dispatched:
             self._dispatch_active_cycles += 1
+        if self.observers:
+            for observer in self.observers:
+                observer.on_cycle_end(self.cycle)
         self.cycle += 1
         return (
             committed == 0
@@ -747,8 +799,9 @@ class Core:
             self._decode_queue.append(uop)
             self._decode_ready[uop.seq] = self.cycle + self.config.core.fetch_to_decode_latency
             self.stats.bump("fetched")
-            if self.tracer is not None:
-                self.tracer.on_fetch(uop, self.cycle)
+            if self.observers:
+                for observer in self.observers:
+                    observer.on_fetch(uop, self.cycle)
             self.fetch_pc = next_pc
             rooms -= 1
             fetched += 1
@@ -807,8 +860,9 @@ class Core:
             else:
                 uop.state = UopState.COMPLETED
                 uop.complete_cycle = self.cycle
-            if self.tracer is not None:
-                self.tracer.on_dispatch(uop, self.cycle)
+            if self.observers:
+                for observer in self.observers:
+                    observer.on_dispatch(uop, self.cycle)
             dispatched += 1
             width -= 1
         return dispatched
@@ -902,8 +956,9 @@ class Core:
         else:
             self._schedule(self.cycle + latency, "complete", uop)
         self.stats.bump("issued")
-        if self.tracer is not None:
-            self.tracer.on_issue(uop, self.cycle)
+        if self.observers:
+            for observer in self.observers:
+                observer.on_issue(uop, self.cycle)
 
     def _latency_of(self, uop: DynInst) -> int:
         op = uop.inst.opcode
@@ -944,8 +999,9 @@ class Core:
         else:
             self._stores_awaiting_data.append(uop)
         self.stats.bump("issued")
-        if self.tracer is not None:
-            self.tracer.on_issue(uop, self.cycle)
+        if self.observers:
+            for observer in self.observers:
+                observer.on_issue(uop, self.cycle)
 
     def _capture_store_data(self) -> None:
         if not self._stores_awaiting_data:
@@ -987,6 +1043,9 @@ class Core:
         had_level = uop.predicted_level is not None
         decision = self.protection.load_issue_decision(uop)
         self.protection.decision_stats.bump(LOAD_DECISION_COUNTERS[decision.action])
+        if self.observers:
+            for observer in self.observers:
+                observer.on_load_decision(uop, self.cycle, decision)
         if decision.action is LoadIssueAction.DELAY:
             uop.delayed_cycles += 1
             self.stats.bump("load_delay_cycles")
@@ -1007,10 +1066,11 @@ class Core:
             uop.value = float(raw)
         else:
             uop.value = wrap64(int(raw))
-        getattr(self, self._LOAD_ISSUE_GATES[decision.action])(uop, forward, decision)
+        self._LOAD_ISSUE_GATES[decision.action](self, uop, forward, decision)
         self.stats.bump("issued")
-        if self.tracer is not None:
-            self.tracer.on_issue(uop, self.cycle)
+        if self.observers:
+            for observer in self.observers:
+                observer.on_issue(uop, self.cycle)
         return True
 
     def _issue_load_normal(
@@ -1087,13 +1147,11 @@ class Core:
     #: core-side issue path.  DELAY is handled before the gate (a delayed
     #: load never issues).  A new protection scheme plugs in by returning a
     #: different action — _try_issue_load itself never special-cases any
-    #: scheme.  The table holds method *names*, resolved through the
-    #: instance at dispatch time, so observers that wrap a gate on a Core
-    #: instance (e.g. analysis probes) still intercept every call.
+    #: scheme.
     _LOAD_ISSUE_GATES = {
-        LoadIssueAction.NORMAL: "_issue_load_normal",
-        LoadIssueAction.OBLIVIOUS: "_issue_load_oblivious",
-        LoadIssueAction.BUFFERED: "_issue_load_buffered",
+        LoadIssueAction.NORMAL: _issue_load_normal,
+        LoadIssueAction.OBLIVIOUS: _issue_load_oblivious,
+        LoadIssueAction.BUFFERED: _issue_load_buffered,
     }
 
     def _older_loads_done(self, uop: DynInst) -> bool:
@@ -1192,8 +1250,9 @@ class Core:
         if uop.is_store:
             uop.state = UopState.COMPLETED
             uop.complete_cycle = self.cycle
-            if self.tracer is not None:
-                self.tracer.on_complete(uop, self.cycle)
+            if self.observers:
+                for observer in self.observers:
+                    observer.on_complete(uop, self.cycle)
             return
         self._writeback(uop, uop.result)
 
@@ -1206,8 +1265,9 @@ class Core:
             self.prf.mark_ready(uop.dest_preg, 0)
         uop.state = UopState.COMPLETED
         uop.complete_cycle = self.cycle
-        if self.tracer is not None:
-            self.tracer.on_complete(uop, self.cycle)
+        if self.observers:
+            for observer in self.observers:
+                observer.on_complete(uop, self.cycle)
         self.protection.on_complete(uop)
 
     # ------------------------------------------------------------------ #
@@ -1271,6 +1331,9 @@ class Core:
             if not uop.safe and self.protection.output_safe(uop):
                 uop.safe = True
                 self._cycle_activity += 1
+                if self.observers:
+                    for observer in self.observers:
+                        observer.on_safe(uop, self.cycle)
                 self._on_became_safe(uop)
             elif not uop.safe:
                 remaining.append(uop)
@@ -1435,8 +1498,9 @@ class Core:
             latency = _FP_FAST_LATENCY[uop.inst.opcode] + (FP_SLOW_EXTRA if slow else 0)
         self._schedule(self.cycle + latency, "complete", uop)
         self.stats.bump("issued")
-        if self.tracer is not None:
-            self.tracer.on_issue(uop, self.cycle)
+        if self.observers:
+            for observer in self.observers:
+                observer.on_issue(uop, self.cycle)
         return True
 
     # ------------------------------------------------------------------ #
@@ -1465,14 +1529,16 @@ class Core:
                 oldest_snapshot_seq = uop.seq
             self.protection.on_squash(uop)
             self.stats.bump("squashed_uops")
-            if self.tracer is not None:
-                self.tracer.on_squash(uop, self.cycle)
+            if self.observers:
+                for observer in self.observers:
+                    observer.on_squash(uop, self.cycle)
         for uop in self._decode_queue:
             if uop.seq > seq:
                 uop.squashed = True
                 self._decode_ready.pop(uop.seq, None)
-                if self.tracer is not None:
-                    self.tracer.on_squash(uop, self.cycle)
+                if self.observers:
+                    for observer in self.observers:
+                        observer.on_squash(uop, self.cycle)
                 if uop.prediction is not None and (
                     oldest_snapshot_seq is None or uop.seq < oldest_snapshot_seq
                 ):
@@ -1552,8 +1618,9 @@ class Core:
         elif uop.dest_preg is not None and inst.rd == 0:
             self.prf.free(uop.dest_preg)
         uop.state = UopState.RETIRED
-        if self.tracer is not None:
-            self.tracer.on_commit(uop, self.cycle)
+        if self.observers:
+            for observer in self.observers:
+                observer.on_commit(uop, self.cycle)
         self.protection.on_commit(uop)
         self.stats.bump("instructions")
         self._last_commit_cycle = self.cycle

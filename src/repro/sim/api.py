@@ -35,12 +35,12 @@ from repro.sim.configs import (
     config_by_name,
     make_protection,
 )
+from repro.sim.policies import CachePolicy, ExecutionPolicy, JournalPolicy
 from repro.workloads.workload import Workload
 
 if TYPE_CHECKING:
     from repro.sim.cache import ResultCache, SweepJournal
     from repro.sim.events import EventObserver
-    from repro.sim.policies import CachePolicy, ExecutionPolicy, JournalPolicy
 
 #: Default commit budget per run (the seed harness's historical default).
 DEFAULT_MAX_INSTRUCTIONS = 200_000
@@ -420,29 +420,9 @@ def execute(request: RunRequest, *, golden=None) -> RunMetrics:
     )
 
 
-#: Sentinel distinguishing "``cache`` not passed" from the legacy explicit
-#: ``cache=None`` (which meant "no caching" and still must).
-_UNSET = object()
-
-#: Legacy ``Session`` keyword → the policy expression that replaces it.
-_LEGACY_EXECUTION_KWARGS = {
-    "jobs": "execution=ExecutionPolicy(jobs=...)",
-    "timeout": "execution=ExecutionPolicy(timeout=...)",
-    "retries": "execution=ExecutionPolicy(retries=...)",
-    "hang_window": "execution=ExecutionPolicy(hang_window=...)",
-    "fail_on_unhalted": "execution=ExecutionPolicy(fail_on_unhalted=...)",
-}
-
-
-def _warn_legacy_kwarg(old: str, replacement: str) -> None:
-    import warnings
-
-    warnings.warn(
-        f"Session({old}=...) is deprecated; pass {replacement} instead "
-        "(the keyword will be removed in the next release)",
-        DeprecationWarning,
-        stacklevel=4,
-    )
+#: The on-disk cache under ``.repro-cache/`` (policies are frozen, so one
+#: instance can serve as the default for every session).
+_DEFAULT_CACHE = CachePolicy()
 
 
 class Session:
@@ -469,21 +449,16 @@ class Session:
     cache:
         :class:`~repro.sim.policies.CachePolicy`, or a ready-made
         :class:`~repro.sim.cache.ResultCache`.  Defaults to the on-disk
-        cache under ``.repro-cache/``.
+        cache under ``.repro-cache/``; anything else raises ``TypeError``.
     journal:
-        :class:`~repro.sim.policies.JournalPolicy`, or a ready-made
-        :class:`~repro.sim.cache.SweepJournal`.  Terminal outcomes are
-        recorded as they settle; ``resume`` replays recorded outcomes
-        instead of re-executing their cells.
+        :class:`~repro.sim.policies.JournalPolicy`, a ready-made
+        :class:`~repro.sim.cache.SweepJournal`, or ``None`` (no journal).
+        Terminal outcomes are recorded as they settle; ``resume`` replays
+        recorded outcomes instead of re-executing their cells.
     observers:
         Callables receiving every :class:`~repro.sim.events.RunEvent`.
     check_golden / max_instructions:
         Defaults for requests built by this session.
-
-    The pre-policy keyword arguments (``jobs``, ``cache_dir``, ``timeout``,
-    ``retries``, ``resume``, ``hang_window``, ``fail_on_unhalted``, and
-    boolean ``cache`` / path ``journal``) are still accepted for one release
-    but emit a :class:`DeprecationWarning` naming the replacement.
     """
 
     def __init__(
@@ -491,93 +466,46 @@ class Session:
         machine: MachineConfig | None = None,
         *,
         execution: "ExecutionPolicy | None" = None,
-        cache: "CachePolicy | ResultCache | bool | None" = _UNSET,
-        journal: "JournalPolicy | SweepJournal | str | Path | None" = None,
+        cache: "CachePolicy | ResultCache" = _DEFAULT_CACHE,
+        journal: "JournalPolicy | SweepJournal | None" = None,
         observers: Iterable["EventObserver"] = (),
         check_golden: bool = True,
         max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
-        **legacy: object,
     ) -> None:
-        # Imported lazily: engine/cache/policies depend on the types above.
+        # Imported lazily: the engine and cache depend on the types above.
         from repro.sim.cache import ResultCache, SweepJournal
         from repro.sim.engine import SweepEngine
-        from repro.sim.policies import CachePolicy, ExecutionPolicy, JournalPolicy
 
         self.machine = machine or MachineConfig()
         self.check_golden = check_golden
         self.max_instructions = max_instructions
-
-        overrides = {}
-        for name, replacement in _LEGACY_EXECUTION_KWARGS.items():
-            if name in legacy:
-                _warn_legacy_kwarg(name, replacement)
-                overrides[name] = legacy.pop(name)
-        if overrides:
-            if execution is not None:
-                raise TypeError(
-                    f"legacy keyword(s) {sorted(overrides)} conflict with "
-                    "execution=ExecutionPolicy(...); pass one or the other"
-                )
-            execution = ExecutionPolicy(**overrides)
         self.execution = execution or ExecutionPolicy()
         self.hang_window = self.execution.hang_window
 
-        cache_dir = legacy.pop("cache_dir", None)
-        if cache_dir is not None:
-            _warn_legacy_kwarg("cache_dir", "cache=CachePolicy(cache_dir=...)")
-        resume = bool(legacy.pop("resume", False))
-        if resume:
-            _warn_legacy_kwarg("resume", "journal=JournalPolicy(resume=True)")
-        if legacy:
-            raise TypeError(
-                f"Session() got unexpected keyword argument(s) {sorted(legacy)}"
-            )
-
         if isinstance(cache, CachePolicy):
-            if cache_dir is not None:
-                raise TypeError("cache_dir conflicts with cache=CachePolicy(...)")
             self.cache_policy = cache
+            self.cache: "ResultCache | None" = cache.build()
         elif isinstance(cache, ResultCache):
             # NB: isinstance, not truthiness — an *empty* ResultCache is
             # falsy (__len__).  A ready-made cache stays first-class.
             self.cache_policy = CachePolicy(cache_dir=str(cache.root))
+            self.cache = cache
         else:
-            if cache is not _UNSET:
-                _warn_legacy_kwarg("cache", "cache=CachePolicy(enabled=...)")
-            self.cache_policy = CachePolicy(
-                enabled=True if cache is _UNSET else bool(cache),
-                cache_dir=str(cache_dir) if cache_dir is not None else None,
+            raise TypeError(
+                f"cache must be a CachePolicy or ResultCache; got {type(cache).__name__}"
             )
-        self.cache: "ResultCache | None" = (
-            cache if isinstance(cache, ResultCache) else self.cache_policy.build()
-        )
 
-        if isinstance(journal, JournalPolicy):
-            if resume:
-                raise TypeError("resume conflicts with journal=JournalPolicy(...)")
-            self.journal_policy = journal
+        if journal is None or isinstance(journal, JournalPolicy):
+            self.journal_policy = journal or JournalPolicy()
+            self.journal: "SweepJournal | None" = self.journal_policy.build()
         elif isinstance(journal, SweepJournal):
-            self.journal_policy = JournalPolicy(path=str(journal.path), resume=resume)
-            if resume:
-                journal.load()
+            self.journal_policy = JournalPolicy(path=str(journal.path))
+            self.journal = journal
         else:
-            if isinstance(journal, (str, Path)):
-                _warn_legacy_kwarg("journal", "journal=JournalPolicy(path=...)")
-            elif journal is not None:
-                raise TypeError(
-                    "journal must be a JournalPolicy, SweepJournal, or path; "
-                    f"got {type(journal).__name__}"
-                )
-            if resume and journal is None:
-                raise ValueError("resume=True requires a journal")
-            self.journal_policy = JournalPolicy(
-                path=str(journal) if journal is not None else None, resume=resume
+            raise TypeError(
+                "journal must be a JournalPolicy or SweepJournal; "
+                f"got {type(journal).__name__}"
             )
-        self.journal: "SweepJournal | None" = (
-            journal
-            if isinstance(journal, SweepJournal)
-            else self.journal_policy.build()
-        )
 
         # The trace store lives next to the result cache so the same root
         # directory carries both content-addressed artifact kinds.

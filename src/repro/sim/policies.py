@@ -20,17 +20,16 @@ and drives server-side retries with the identical
 >>> from repro.sim.api import Session                       # doctest: +SKIP
 >>> Session(execution=ExecutionPolicy(jobs=4, retries=2))   # doctest: +SKIP
 >>> Session(execution=ExecutionPolicy(fabric="http://host:8700"))  # doctest: +SKIP
-
-The legacy keyword arguments still work for one release but emit a
-:class:`DeprecationWarning` naming the policy replacement.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from repro.sim.engine import RetryPolicy
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.engine import RetryPolicy
 
 
 @dataclass(frozen=True)
@@ -85,6 +84,10 @@ class ExecutionPolicy:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
         if self.timeout is not None and self.timeout <= 0:
             raise ValueError(f"timeout must be positive, got {self.timeout}")
+        # Lazy import: the engine imports repro.sim.api, which imports this
+        # module for Session's policy defaults.
+        from repro.sim.engine import RetryPolicy
+
         retries = self.retries
         if retries is None or retries == 0:
             retries = RetryPolicy(max_retries=0)
@@ -133,6 +136,8 @@ class ExecutionPolicy:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExecutionPolicy":
+        from repro.sim.engine import RetryPolicy
+
         retries = payload.get("retries")
         return cls(
             jobs=payload.get("jobs", 1),

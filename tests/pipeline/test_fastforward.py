@@ -105,22 +105,25 @@ def test_stall_attribution_invariant_holds_with_skipping():
 
 
 def test_tracer_disables_skipping():
-    """Traced runs must see every cycle: attaching a CycleTracer forces the
-    naive loop (documented in the README)."""
+    """Observed runs must see every cycle: attaching a CycleTracer — or any
+    observer at all, even one that ignores every event — forces the naive
+    loop (documented in the README)."""
     from repro.analysis.trace import CycleTracer
+    from repro.pipeline.core import CoreObserver
 
     workload = WORKLOADS["pointer_chase"]
     config = config_by_name("STT{ld}")
     machine = MachineConfig(
         protection=config.protection_config(AttackModel.SPECTRE)
     )
-    core = Core(
-        workload.program, machine, make_protection(config, AttackModel.SPECTRE)
-    )
-    CycleTracer().attach(core)
-    core.run()
-    assert core.ff_windows == 0
-    assert core.ff_skipped_cycles == 0
+    for observer in (CycleTracer(), CoreObserver()):
+        core = Core(
+            workload.program, machine, make_protection(config, AttackModel.SPECTRE)
+        )
+        core.attach_observer(observer)
+        core.run()
+        assert core.ff_windows == 0
+        assert core.ff_skipped_cycles == 0
 
 
 def test_naive_loop_matches_golden_fixture(monkeypatch):

@@ -1,6 +1,7 @@
-"""Tests for the Session/RunRequest API and the legacy-kwarg shims."""
+"""Tests for the Session/RunRequest API and the removed legacy keywords."""
 
 import dataclasses
+from pathlib import Path
 
 import pytest
 
@@ -139,47 +140,33 @@ class TestSessionLifecycle:
 
 
 class TestLegacyKwargShims:
-    """The pre-policy Session keywords still work, but warn once each."""
+    """The pre-policy Session keywords are gone: each one is a TypeError,
+    never a silent fallback (``cache=None`` must not mean "cache")."""
 
-    def test_legacy_jobs_warns_and_configures_engine(self):
-        with pytest.warns(DeprecationWarning, match=r"ExecutionPolicy\(jobs="):
-            session = Session(jobs=2, cache=NO_CACHE)
-        assert session.engine.jobs == 2
-        assert session.execution.jobs == 2
-
-    def test_legacy_bool_cache_warns(self):
-        with pytest.warns(DeprecationWarning, match=r"CachePolicy\(enabled="):
-            session = Session(cache=False)
-        assert session.cache is None
-
-    def test_legacy_timeout_and_retries_warn(self):
-        with pytest.warns(DeprecationWarning):
-            session = Session(cache=NO_CACHE, timeout=9.0, retries=3)
-        assert session.engine.timeout == 9.0
-        assert session.engine.retry.max_retries == 3
-
-    def test_legacy_conflicts_with_policy(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError, match="conflict with execution="):
-                Session(execution=ExecutionPolicy(jobs=2), jobs=3)
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"jobs": 2},
+            {"timeout": 9.0},
+            {"retries": 3},
+            {"cache": False},
+            {"cache": None},
+            {"resume": True},
+            {"journal": Path("journal.jsonl")},
+            {"journal": "journal.jsonl"},
+        ],
+        ids=[
+            "jobs", "timeout", "retries", "cache-False", "cache-None",
+            "resume", "journal-Path", "journal-str",
+        ],
+    )
+    def test_legacy_keyword_rejected(self, kwargs):
+        with pytest.raises(TypeError):
+            Session(**{"cache": NO_CACHE, **kwargs})
 
     def test_unknown_kwarg_rejected(self):
         with pytest.raises(TypeError, match="unexpected keyword"):
             Session(bogus=1)
-
-    def test_legacy_resume_without_journal_rejected(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="requires a journal"):
-                Session(cache=NO_CACHE, resume=True)
-
-    def test_legacy_journal_path_warns(self, tmp_path):
-        with pytest.warns(DeprecationWarning, match=r"JournalPolicy\(path="):
-            session = Session(cache=NO_CACHE, journal=tmp_path / "journal.jsonl")
-        assert session.journal is not None
-        assert session.journal_policy == JournalPolicy(
-            path=str(tmp_path / "journal.jsonl")
-        )
-
 
 class TestPolicySession:
     def test_policies_configure_engine(self, tmp_path):
