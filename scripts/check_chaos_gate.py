@@ -39,7 +39,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.common.config import AttackModel
-from repro.fabric.chaos import ChaosPlan, ChaosProxy, ChaosSpec, read_ledger
+from repro.common.durable import JsonlLog
+from repro.fabric.chaos import ChaosPlan, ChaosProxy, ChaosSpec
 from repro.fabric.client import FabricClient
 from repro.fabric.scheduler import FabricScheduler, make_server
 from repro.fabric.transport import FabricError, TransportPolicy
@@ -144,7 +145,7 @@ def main() -> int:
                     f"retr{'y' if retries == 1 else 'ies'}"
                 )
 
-            faults = read_ledger(ledger)
+            faults = JsonlLog(ledger).read()
             if not faults:
                 fail("fault ledger is empty — the proxy injected nothing")
             print(f"ledger records {len(faults)} injected fault(s)")

@@ -35,6 +35,7 @@ import pathlib
 import sys
 
 from repro.common.config import AttackModel
+from repro.common.durable import CorruptLogError
 from repro.eval.report import render_table, to_csv
 from repro.eval.tables import render_table1, render_table2
 from repro.sim.api import Instrumentation, Session
@@ -587,7 +588,12 @@ def main(argv=None) -> int:
         "sweep": _cmd_sweep,
         "fabric": _cmd_fabric,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except CorruptLogError as exc:  # a damaged sweep journal or scheduler queue
+        print(f"error: {exc}", file=sys.stderr)
+        print(f"hint: move {exc.source} aside and rerun to start afresh", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

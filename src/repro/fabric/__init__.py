@@ -10,11 +10,12 @@ new dependencies):
   heartbeat-renewed leases (``POST /v1/cells/claim``), re-queues expired
   leases, drives server-side retries with the submitter's
   :class:`~repro.sim.engine.RetryPolicy`, and fronts the shared artifact
-  store (a :class:`~repro.sim.cache.ResultCache` keyed by content hash).
+  store (a CRC-checked :class:`~repro.sim.cache.ResultCache` keyed by
+  content hash).
 * :mod:`repro.fabric.queue` — the durable cell queue behind the scheduler:
-  an append-only JSONL log (the :class:`~repro.sim.cache.SweepJournal`
-  format, generalized) that survives ``kill -9`` and resumes without
-  re-running completed cells.
+  a :class:`~repro.common.durable.JsonlLog` (the sweep journal format,
+  generalized) that survives ``kill -9`` and resumes without re-running
+  completed cells.
 * :mod:`repro.fabric.worker` — the worker agent: claims cells, answers
   them from its local cache or the scheduler's artifact store, executes
   misses through a one-cell :class:`~repro.sim.engine.SweepEngine` (same

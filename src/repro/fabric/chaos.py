@@ -49,7 +49,6 @@ forwarded verbatim, faults act on whole captured exchanges.
 from __future__ import annotations
 
 import hashlib
-import json
 import re
 import socket
 import threading
@@ -57,6 +56,8 @@ import time
 from dataclasses import dataclass, fields
 from pathlib import Path
 from urllib.parse import urlsplit
+
+from repro.common.durable import JsonlLog
 
 #: The injectable fault classes, in cumulative-draw order (serialized
 #: plans rely on the names, not the order).
@@ -229,49 +230,6 @@ class ChaosPlan:
         )
 
 
-class _Ledger:
-    """Append-only JSONL record of every injected fault."""
-
-    def __init__(self, path: str | Path | None) -> None:
-        self.path = Path(path) if path is not None else None
-        self._lock = threading.Lock()
-        self._seq = 0
-
-    def record(self, fault: str, method: str, path: str, endpoint: str) -> None:
-        with self._lock:
-            seq = self._seq
-            self._seq += 1
-            if self.path is None:
-                return
-            entry = {
-                "seq": seq,
-                "fault": fault,
-                "method": method,
-                "path": path,
-                "endpoint": endpoint,
-            }
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with self.path.open("a") as fh:
-                fh.write(json.dumps(entry) + "\n")
-
-
-def read_ledger(path: str | Path) -> list[dict]:
-    """Parse a fault ledger back into records (torn tail skipped)."""
-    records = []
-    ledger = Path(path)
-    if not ledger.exists():
-        return records
-    for line in ledger.read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            records.append(json.loads(line))
-        except ValueError:
-            continue
-    return records
-
-
 class ChaosProxyError(RuntimeError):
     """The proxy could not frame or forward an exchange."""
 
@@ -347,7 +305,8 @@ class ChaosProxy:
         self.plan = plan
         self.host = host
         self.timeout = timeout
-        self.ledger = _Ledger(ledger)
+        self._ledger = JsonlLog(ledger) if ledger is not None else None
+        self._ledger_lock = threading.Lock()
         self._listener: socket.socket | None = None
         self._port = port
         self._accept_thread: threading.Thread | None = None
@@ -383,6 +342,8 @@ class ChaosProxy:
         if self._listener is not None:
             self._listener.close()
             self._listener = None
+        if self._ledger is not None:
+            self._ledger.close()
 
     def __enter__(self) -> "ChaosProxy":
         return self.start()
@@ -423,8 +384,18 @@ class ChaosProxy:
         self.stats["exchanges"] += 1
         fault, spec = self.plan.decide(method, path)
         if fault is not None:
-            self.stats["faults"] += 1
-            self.ledger.record(fault, method, path, endpoint_class(method, path))
+            with self._ledger_lock:
+                self.stats["faults"] += 1
+                if self._ledger is not None:
+                    self._ledger.append(
+                        {
+                            "seq": self.stats["faults"] - 1,
+                            "fault": fault,
+                            "method": method,
+                            "path": path,
+                            "endpoint": endpoint_class(method, path),
+                        }
+                    )
         if fault == FAULT_DROP_REQUEST:
             return  # never forwarded; client sees a cut connection
         if fault == FAULT_DELAY:

@@ -13,14 +13,15 @@ a crash-recoverable job queue.  Four record kinds share the log::
      "schema": 1}
     {"kind": "token",   "key": ..., "token": ..., "decision": ..., "schema": 1}
 
-Every mutation appends one flushed line, so a ``kill -9`` at any instant
-loses at most the line being written — and :meth:`load` skips torn trailing
-lines exactly like the sweep journal.  **Leases are deliberately not
-journalled**: a lease is a promise by a live worker, and after a scheduler
-crash no such promise is trustworthy, so non-``done`` cells simply reload
-as ``pending`` and get handed out again.  ``done`` cells reload as done —
-the crash-restart acceptance test in ``tests/fabric`` asserts completed
-cells are never re-executed.
+The log is a :class:`~repro.common.durable.JsonlLog`: every mutation
+appends one flushed line, :meth:`load` drops a torn trailing line (a
+``kill -9`` mid-write), and a corrupt or inapplicable record before the
+tail raises instead of silently rewriting the queue's state.  **Leases
+are deliberately not journalled**: a lease is a promise by a live worker,
+and after a scheduler crash no such promise is trustworthy, so
+non-``done`` cells simply reload as ``pending`` and get handed out again.
+``done`` cells reload as done — the crash-restart acceptance test in
+``tests/fabric`` asserts completed cells are never re-executed.
 
 Failed attempts are journalled (``attempt`` records) so server-side retry
 budgets survive restarts too: a cell that crashed twice before the crash
@@ -31,14 +32,11 @@ without touching the cell again (see :meth:`complete`).
 
 **Compaction** keeps the journal bounded: the append-only log grows with
 every attempt, heartbeat-expiry, and duplicate delivery, but the live
-state it encodes does not.  :meth:`compact` rewrites the log as one
-snapshot — the minimal record set that reloads to the current in-memory
-state — written to a temporary file, fsynced, and atomically
-``os.replace``-d over the journal.  A crash at any instant during
-compaction therefore leaves either the complete old journal (the tmp file
-is garbage and is deleted on the next load) or the complete new one;
-there is no torn intermediate.  ``compact_every`` auto-compacts after
-that many appended records.
+state it encodes does not.  :meth:`compact` atomically rewrites the log
+(fsynced temp file, then rename) as one snapshot — the minimal record set
+that reloads to the current in-memory state — so a crash at any instant
+leaves either the complete old journal or the complete new one.
+``compact_every`` auto-compacts after that many appended records.
 
 The queue itself is not thread-safe; the scheduler serializes access with
 one lock.
@@ -47,11 +45,10 @@ one lock.
 from __future__ import annotations
 
 import dataclasses
-import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.common.durable import JsonlLog
 from repro.fabric.wire import (
     CELL_DONE,
     CELL_LEASED,
@@ -121,6 +118,31 @@ def worker_lost_failure(cell: CellRecord, worker: str) -> RunFailure:
     )
 
 
+def _cell_record(cell: CellRecord) -> dict:
+    return envelope(
+        kind="cell",
+        key=cell.key,
+        request=cell.request,
+        retry=cell.retry.to_dict(),
+        timeout=cell.timeout,
+    )
+
+
+def _attempt_record(cell: CellRecord) -> dict:
+    """The cell's attempt count and last failure, as one ``attempt``."""
+    failure = cell.last_failure
+    return envelope(
+        kind="attempt",
+        key=cell.key,
+        attempts=cell.attempts,
+        failure=failure.to_dict() if failure is not None else None,
+    )
+
+
+def _done_record(cell: CellRecord) -> dict:
+    return envelope(kind="done", key=cell.key, outcome=encode_outcome(cell.outcome))
+
+
 def _attack_model(request: dict):
     from repro.common.config import AttackModel
 
@@ -144,11 +166,7 @@ class FabricQueue:
         self.sweeps: dict[str, SweepRecord] = {}
         self.compactions = 0
         self._appends_since_compact = 0
-        self._fh = None
-
-    @property
-    def _compact_tmp(self) -> Path:
-        return self.path.with_name(self.path.name + ".compact")
+        self._log = JsonlLog(self.path)
 
     # ------------------------------------------------------------- durability
 
@@ -156,30 +174,12 @@ class FabricQueue:
         """Replay the log; returns how many records were applied.
 
         Records are applied in append order, so the last ``done`` for a key
-        wins and ``attempt`` counts accumulate.  Torn/corrupt lines (a crash
-        mid-write) are skipped.  Leased state is *not* restored — every
-        non-done cell comes back ``pending``.  A leftover compaction tmp
-        file — a crash mid-snapshot — is discarded: the journal itself is
-        still complete, which is exactly why the snapshot is written to the
-        side and renamed atomically.
+        wins and ``attempt`` counts accumulate.  Only a torn final line (a
+        crash mid-write) is dropped; corruption anywhere else raises
+        :class:`~repro.common.durable.CorruptLogError`.  Leased state is
+        *not* restored — every non-done cell comes back ``pending``.
         """
-        if self._compact_tmp.exists():
-            self._compact_tmp.unlink()
-        if not self.path.exists():
-            return 0
-        applied = 0
-        with self.path.open() as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                    self._apply(record)
-                except (ValueError, KeyError, TypeError):
-                    continue  # torn trailing line from a crash mid-write
-                applied += 1
-        return applied
+        return self._log.replay(self._apply)
 
     def _apply(self, record: dict) -> None:
         kind = record["kind"]
@@ -196,18 +196,24 @@ class FabricQueue:
             sweep = SweepRecord(
                 record["sweep_id"], list(record["cells"]), token=record.get("token")
             )
+            for key in sweep.cells:
+                if key not in self.cells:
+                    raise KeyError(f"sweep {sweep.sweep_id!r} names unknown cell {key!r}")
             self.sweeps[sweep.sweep_id] = sweep
         elif kind == "attempt":
+            # Decode before mutating, so a rejected record changes nothing.
             cell = self.cells[record["key"]]
-            cell.attempts = max(cell.attempts, int(record["attempts"]))
+            attempts = int(record["attempts"])
             failure = record.get("failure")
             if failure is not None:
                 cell.last_failure = RunFailure.from_dict(failure)
+            cell.attempts = max(cell.attempts, attempts)
         elif kind == "done":
             cell = self.cells[record["key"]]
+            outcome = decode_outcome(record["outcome"])
             cell.state = CELL_DONE
             cell.lease = None
-            cell.outcome = decode_outcome(record["outcome"])
+            cell.outcome = outcome
         elif kind == "token":
             cell = self.cells[record["key"]]
             cell.tokens[record["token"]] = record["decision"]
@@ -215,11 +221,7 @@ class FabricQueue:
             raise ValueError(f"unknown queue record kind {kind!r}")
 
     def _append(self, record: dict) -> None:
-        if self._fh is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._fh = self.path.open("a")
-        self._fh.write(json.dumps(record, sort_keys=True) + "\n")
-        self._fh.flush()
+        self._log.append(record)
         self._appends_since_compact += 1
         if (
             self.compact_every is not None
@@ -228,9 +230,7 @@ class FabricQueue:
             self.compact()
 
     def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        self._log.close()
 
     # ------------------------------------------------------------- compaction
 
@@ -242,42 +242,13 @@ class FabricQueue:
         deliberately not snapshotted (same rule as :meth:`load`)."""
         records: list[dict] = []
         for cell in self.cells.values():
-            records.append(
-                envelope(
-                    kind="cell",
-                    key=cell.key,
-                    request=cell.request,
-                    retry=cell.retry.to_dict(),
-                    timeout=cell.timeout,
-                )
-            )
+            records.append(_cell_record(cell))
             if cell.attempts:
-                records.append(
-                    envelope(
-                        kind="attempt",
-                        key=cell.key,
-                        attempts=cell.attempts,
-                        failure=(
-                            cell.last_failure.to_dict()
-                            if cell.last_failure is not None
-                            else None
-                        ),
-                    )
-                )
+                records.append(_attempt_record(cell))
             if cell.done:
-                records.append(
-                    envelope(
-                        kind="done",
-                        key=cell.key,
-                        outcome=encode_outcome(cell.outcome),
-                    )
-                )
+                records.append(_done_record(cell))
             for token, decision in cell.tokens.items():
-                records.append(
-                    envelope(
-                        kind="token", key=cell.key, token=token, decision=decision
-                    )
-                )
+                records.append(envelope(kind="token", key=cell.key, token=token, decision=decision))
         for sweep in self.sweeps.values():
             records.append(
                 envelope(
@@ -291,27 +262,9 @@ class FabricQueue:
 
     def compact(self) -> int:
         """Atomically replace the journal with its snapshot; returns the
-        number of records written.
-
-        Crash-consistency argument: the snapshot is written to a sibling
-        tmp file and fsynced *before* ``os.replace`` swaps it in.  A crash
-        during the write leaves the old journal untouched (the torn tmp is
-        deleted on the next :meth:`load`); ``os.replace`` itself is atomic
-        on POSIX; a crash immediately after it leaves the complete new
-        journal.  Either way a restart recovers the full queue state.
-        """
+        number of records written."""
         records = self.snapshot_records()
-        tmp = self._compact_tmp
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with tmp.open("w") as fh:
-            for record in records:
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-        os.replace(tmp, self.path)
+        self._log.rewrite(records)
         self._appends_since_compact = 0
         self.compactions += 1
         return len(records)
@@ -338,18 +291,9 @@ class FabricQueue:
             raise ValueError(f"sweep {sweep_id!r} already submitted")
         for key, request in cells:
             if key not in self.cells:
-                self.cells[key] = CellRecord(
-                    key=key, request=request, retry=retry, timeout=timeout
-                )
-                self._append(
-                    envelope(
-                        kind="cell",
-                        key=key,
-                        request=request,
-                        retry=retry.to_dict(),
-                        timeout=timeout,
-                    )
-                )
+                cell = CellRecord(key=key, request=request, retry=retry, timeout=timeout)
+                self.cells[key] = cell
+                self._append(_cell_record(cell))
         sweep = SweepRecord(sweep_id, [key for key, _ in cells], token=token)
         self.sweeps[sweep_id] = sweep
         self._append(
@@ -415,14 +359,7 @@ class FabricQueue:
                 failure = worker_lost_failure(cell, cell.lease.worker)
                 cell.lease = None
                 cell.last_failure = failure
-                self._append(
-                    envelope(
-                        kind="attempt",
-                        key=cell.key,
-                        attempts=cell.attempts,
-                        failure=failure.to_dict(),
-                    )
-                )
+                self._append(_attempt_record(cell))
                 if cell.retry.should_retry(FAILURE_CRASH, cell.attempts):
                     cell.state = CELL_PENDING
                 else:
@@ -460,14 +397,7 @@ class FabricQueue:
         decision = "done"
         if isinstance(outcome, RunFailure):
             cell.last_failure = outcome
-            self._append(
-                envelope(
-                    kind="attempt",
-                    key=key,
-                    attempts=cell.attempts,
-                    failure=outcome.to_dict(),
-                )
-            )
+            self._append(_attempt_record(cell))
             if cell.retry.should_retry(outcome.kind, cell.attempts):
                 cell.state = CELL_PENDING
                 cell.lease = None
@@ -476,9 +406,7 @@ class FabricQueue:
             self._settle(cell, outcome)
         if token is not None:
             cell.tokens[token] = decision
-            self._append(
-                envelope(kind="token", key=key, token=token, decision=decision)
-            )
+            self._append(envelope(kind="token", key=key, token=token, decision=decision))
         return decision
 
     def _settle(self, cell: CellRecord, outcome: RunOutcome) -> None:
@@ -488,9 +416,7 @@ class FabricQueue:
         cell.state = CELL_DONE
         cell.lease = None
         cell.outcome = outcome
-        self._append(
-            envelope(kind="done", key=cell.key, outcome=encode_outcome(outcome))
-        )
+        self._append(_done_record(cell))
 
     # ----------------------------------------------------------------- status
 

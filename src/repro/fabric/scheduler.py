@@ -36,7 +36,8 @@ queue: a submission that would overflow it is refused with HTTP 429 and
 a ``Retry-After`` header instead of being accepted and starved.
 
 The scheduler owns the **shared artifact store** — a plain
-:class:`~repro.sim.cache.ResultCache` on its disk.  Completed metrics are
+:class:`~repro.sim.cache.ResultCache` on its disk, whose entries are CRC
+checked before they are served.  Completed metrics are
 written there as they arrive, a submitted cell whose key is already stored
 settles instantly, and workers read missing keys through
 ``GET /v1/artifacts/<key>`` before simulating anything.
@@ -433,6 +434,9 @@ class FabricScheduler:
             return envelope(decision=decision)
 
     def artifact(self, key: str) -> dict | None:
+        """The metrics for ``key`` with their ``crc32``, or ``None``.  The
+        store checks its entry's CRC first; a corrupt entry falls back to
+        the queue's ``done`` outcome and is never re-stamped and served."""
         with self._lock:
             metrics = self.store.get_key(key)
             if metrics is None and key in self.queue.cells:

@@ -39,6 +39,8 @@ import time
 from dataclasses import dataclass
 from urllib.parse import urlsplit
 
+from repro.common.durable import CorruptLogError, parse_lines
+
 
 class FabricError(RuntimeError):
     """A fabric endpoint could not be reached or rejected the request."""
@@ -258,29 +260,21 @@ class _JsonCalls:
     def get_lines(self, path: str) -> list[dict]:
         """Fetch a JSONL endpoint as a list of parsed records.
 
-        A torn *trailing* line — the scheduler restarted or the connection
-        died mid-stream — is skipped, exactly like the queue journal's
-        torn-tail rule: the records before it are complete and the client
-        will re-request from its cursor.  A torn line *mid-stream* is a
-        corrupted response and raises :class:`FabricError` (transient, so
-        the retrying transport refetches).
+        The durable-log rule (:func:`~repro.common.durable.parse_lines`): a
+        torn *trailing* line — the scheduler restarted or the connection
+        died mid-stream — is dropped, and the client re-requests from its
+        cursor.  A torn line *mid-stream* is a corrupted response and raises
+        :class:`FabricError` (transient, so the retrying transport refetches).
         """
         status, text, _ = self.exchange("GET", path, idempotent=True)
         if status != 200:
             self._raise_for("GET", path, status, text)
-        lines = [line for line in text.splitlines() if line.strip()]
-        records = []
-        for position, line in enumerate(lines):
-            try:
-                records.append(json.loads(line))
-            except ValueError as exc:
-                if position == len(lines) - 1:
-                    break  # torn tail: a partial final line from a cut stream
-                raise FabricError(
-                    f"GET {self.base_url}{path} line {position} is corrupt "
-                    f"mid-stream: {exc}"
-                ) from exc
-        return records
+        try:
+            return parse_lines(text, f"GET {self.base_url}{path}")
+        except CorruptLogError as exc:
+            raise FabricError(
+                f"GET {self.base_url}{path} line {exc.line} is corrupt mid-stream"
+            ) from exc
 
 
 class HttpTransport(_JsonCalls):

@@ -17,9 +17,7 @@ cannot silently fork the protocol.
 
 from __future__ import annotations
 
-import json
-import zlib
-
+from repro.common.durable import payload_crc32 as payload_crc32  # artifact checksum
 from repro.sim.api import RunFailure, RunMetrics, RunOutcome
 
 #: Bump on incompatible wire changes (renamed/retyped fields, changed
@@ -67,17 +65,6 @@ def envelope(**fields: object) -> dict[str, object]:
     payload: dict[str, object] = {"schema": WIRE_SCHEMA_VERSION}
     payload.update(fields)
     return payload
-
-
-def payload_crc32(payload: object) -> int:
-    """CRC-32 of a JSON payload's canonical form (sorted keys, no spaces).
-
-    Stamped onto artifact bodies so a corrupted-in-flight payload that
-    still parses as JSON is detected by the reader: a mismatch is treated
-    as an artifact miss, never a crash.
-    """
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return zlib.crc32(canonical.encode("utf-8")) & 0xFFFFFFFF
 
 
 def encode_outcome(outcome: RunOutcome) -> dict[str, object]:

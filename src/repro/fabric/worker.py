@@ -20,9 +20,9 @@ The agent is deliberately stateless across cells: a worker crash loses at
 most the cell it was executing, which the scheduler re-queues when the
 lease expires.  For the crash-restart acceptance test, setting the
 ``REPRO_FABRIC_EXEC_LOG`` environment variable makes every *real*
-execution (not cache or artifact hits) append ``<key> <worker>`` to that
-file — the test asserts no key appears after a scheduler restart that was
-already done before it.
+execution (not cache or artifact hits) append a ``{"key", "worker"}``
+record to that JSONL log — the test asserts no key appears after a
+scheduler restart that was already done before it.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ import threading
 import time
 from pathlib import Path
 
+from repro.common.durable import JsonlLog
 from repro.fabric.transport import (
     FabricError,
     RetryingTransport,
@@ -99,6 +100,8 @@ class WorkerAgent:
             "artifact_corrupt": 0,
         }
         self._stop = threading.Event()
+        exec_log = os.environ.get(EXEC_LOG_ENV)
+        self._exec_log = JsonlLog(exec_log) if exec_log else None
 
     def stop(self) -> None:
         """Ask :meth:`run_forever` to exit after the current cell."""
@@ -109,21 +112,25 @@ class WorkerAgent:
     def run_forever(self) -> dict[str, int]:
         """Poll for cells until stopped or idle too long; returns stats."""
         last_activity = time.monotonic()
-        while not self._stop.is_set():
-            try:
-                worked = self.step()
-            except FabricError:
-                self.stats["network_errors"] += 1
-                worked = False
-            if worked:
-                last_activity = time.monotonic()
-                continue
-            if (
-                self.max_idle_seconds is not None
-                and time.monotonic() - last_activity >= self.max_idle_seconds
-            ):
-                break
-            self._stop.wait(self.poll_interval)
+        try:
+            while not self._stop.is_set():
+                try:
+                    worked = self.step()
+                except FabricError:
+                    self.stats["network_errors"] += 1
+                    worked = False
+                if worked:
+                    last_activity = time.monotonic()
+                    continue
+                if (
+                    self.max_idle_seconds is not None
+                    and time.monotonic() - last_activity >= self.max_idle_seconds
+                ):
+                    break
+                self._stop.wait(self.poll_interval)
+        finally:
+            if self._exec_log is not None:
+                self._exec_log.close()
         return dict(self.stats)
 
     def step(self) -> bool:
@@ -275,8 +282,5 @@ class WorkerAgent:
                 self._stop.wait(backoff.delay(f"deliver:{key}", delivery_try))
 
     def _ledger(self, key: str) -> None:
-        path = os.environ.get(EXEC_LOG_ENV)
-        if not path:
-            return
-        with open(path, "a") as fh:
-            fh.write(f"{key} {self.worker_id}\n")
+        if self._exec_log is not None:
+            self._exec_log.append({"key": key, "worker": self.worker_id})

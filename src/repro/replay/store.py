@@ -1,22 +1,17 @@
 """Content-addressed on-disk trace store, kept alongside the result cache.
 
-Layout mirrors :class:`~repro.sim.cache.ResultCache`: entries live under
-``<root>/v<TRACE_SCHEMA_VERSION>/<key[:2]>/<key>.trace`` where the key is
-:func:`~repro.replay.trace.trace_key` — so a schema bump orphans old
-traces instead of misreading them, and the sharded layout stays ``ls``-able
-at scale.  Writes are atomic (tempfile + rename) against concurrent
-readers and crashing writers; a reader that does catch a torn, truncated,
-or corrupt file gets a **miss** (the format's length header and CRC make
-that detectable), never a wrong trace — the caller then records afresh or
-runs live.
+Entries are :class:`~repro.common.durable.BlobStore` blobs under
+``<root>/v<TRACE_SCHEMA_VERSION>/<key[:2]>/<key>.trace``, keyed by
+:func:`~repro.replay.trace.trace_key`.  The format's length header and CRC
+are the check on read: a torn, truncated, or corrupt file is a **miss**,
+never a wrong trace, and the caller then records afresh or runs live.
 """
 
 from __future__ import annotations
 
-import os
-import tempfile
 from pathlib import Path
 
+from repro.common.durable import BlobStore
 from repro.replay.trace import (
     TRACE_SCHEMA_VERSION,
     ArchTrace,
@@ -30,17 +25,16 @@ class TraceStore:
 
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
+        self._blobs = BlobStore(self.root, version=TRACE_SCHEMA_VERSION, suffix=".trace")
 
     def path_for(self, key: str) -> Path:
-        return self.root / f"v{TRACE_SCHEMA_VERSION}" / key[:2] / f"{key}.trace"
+        return self._blobs.path_for(key)
 
     def get(self, key: str) -> ArchTrace | None:
         """The stored trace, or ``None`` on a miss *or* any detectable
         corruption (torn write, truncation, checksum failure)."""
-        path = self.path_for(key)
-        try:
-            blob = path.read_bytes()
-        except OSError:
+        blob = self._blobs.read(key)
+        if blob is None:
             return None
         try:
             return ArchTrace.from_bytes(blob)
@@ -49,26 +43,10 @@ class TraceStore:
 
     def put(self, key: str, trace: ArchTrace) -> Path:
         """Store ``trace`` under ``key``; atomic against readers."""
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(trace.to_bytes())
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-        return path
+        return self._blobs.write(key, trace.to_bytes())
 
     def has(self, key: str) -> bool:
-        return self.path_for(key).exists()
+        return self._blobs.has(key)
 
     def __len__(self) -> int:
-        version_dir = self.root / f"v{TRACE_SCHEMA_VERSION}"
-        if not version_dir.is_dir():
-            return 0
-        return sum(1 for _ in version_dir.glob("*/*.trace"))
+        return len(self._blobs)

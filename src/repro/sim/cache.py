@@ -8,10 +8,12 @@ those into a SHA-256 hex digest; names and descriptions are deliberately
 excluded, so a renamed but otherwise identical workload still hits.
 
 Entries live under ``<root>/v<SCHEMA_VERSION>/<key[:2]>/<key>.json`` and
-hold the serialized metrics.  ``SCHEMA_VERSION`` is part of the key
-material: bump it whenever the simulator's timing model changes in a way
-that should invalidate old results.  Unreadable or corrupt entries are
-treated as misses — the cache can always be rebuilt by re-running.
+hold the serialized metrics with a CRC-32 of their canonical JSON.
+``SCHEMA_VERSION`` is part of the key material: bump it whenever the
+simulator's timing model changes in a way that should invalidate old
+results.  Storage follows :mod:`repro.common.durable`: an entry that is
+unreadable or fails its key or checksum check is a miss — the cache can
+always be rebuilt by re-running.
 """
 
 from __future__ import annotations
@@ -20,10 +22,9 @@ import dataclasses
 import enum
 import hashlib
 import json
-import os
-import tempfile
 from pathlib import Path
 
+from repro.common.durable import BlobStore, JsonlLog, payload_crc32
 from repro.sim.api import (
     FAILURE_CANCELLED,
     RunFailure,
@@ -36,7 +37,9 @@ from repro.sim.api import (
 #: Bump when RunMetrics serialization or simulator timing semantics change.
 #: v2: RunMetrics gained ``termination`` (halted / max_cycles /
 #: max_instructions) — v1 entries cannot say whether the run halted.
-SCHEMA_VERSION = 2
+#: v3: entries carry a ``crc32`` of the canonical metrics JSON, checked on
+#: read (a v2 entry with a flipped digit was served as truth).
+SCHEMA_VERSION = 3
 
 
 def _canonical(obj: object) -> object:
@@ -89,13 +92,15 @@ def cache_key(request: RunRequest) -> str:
 
 
 class ResultCache:
-    """Filesystem-backed map from :func:`cache_key` to :class:`RunMetrics`."""
+    """Filesystem-backed map from :func:`cache_key` to :class:`RunMetrics`;
+    each entry's ``crc32`` of its canonical metrics JSON is checked on read."""
 
     def __init__(self, root: str | Path = ".repro-cache") -> None:
         self.root = Path(root)
+        self._blobs = BlobStore(self.root, version=SCHEMA_VERSION, suffix=".json")
 
     def path_for(self, key: str) -> Path:
-        return self.root / f"v{SCHEMA_VERSION}" / key[:2] / f"{key}.json"
+        return self._blobs.path_for(key)
 
     def get(self, request: RunRequest) -> RunMetrics | None:
         """The cached metrics for ``request``, or ``None`` on a miss.
@@ -113,15 +118,18 @@ class ResultCache:
 
         Unlike :meth:`get` there is no request to rebrand against, so the
         metrics come back with whatever identity fields the producer stored
-        — fabric callers rebrand against their own request.
+        — fabric callers rebrand against their own request.  An entry whose
+        key or checksum does not match is a miss.
         """
-        path = self.path_for(key)
+        blob = self._blobs.read(key)
+        if blob is None:
+            return None
         try:
-            payload = json.loads(path.read_text())
-            if payload.get("key") != key:
+            entry = json.loads(blob)
+            if entry["key"] != key or entry["crc32"] != payload_crc32(entry["metrics"]):
                 return None
-            return RunMetrics.from_dict(payload["metrics"])
-        except (OSError, ValueError, KeyError, TypeError):
+            return RunMetrics.from_dict(entry["metrics"])
+        except (ValueError, KeyError, TypeError):
             return None
 
     def put(self, request: RunRequest, metrics: RunMetrics) -> Path:
@@ -130,43 +138,26 @@ class ResultCache:
 
     def put_key(self, key: str, metrics: RunMetrics) -> Path:
         """Key-level store (the artifact-store face of the cache)."""
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = {"key": key, "schema": SCHEMA_VERSION, "metrics": metrics.to_dict()}
-        fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(payload, handle, sort_keys=True)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-        return path
+        payload = metrics.to_dict()
+        entry = {"key": key, "schema": SCHEMA_VERSION, "metrics": payload}
+        entry["crc32"] = payload_crc32(payload)
+        return self._blobs.write(key, json.dumps(entry, sort_keys=True).encode("utf-8"))
 
     def has_key(self, key: str) -> bool:
-        return self.path_for(key).exists()
+        return self._blobs.has(key)
 
     def __contains__(self, request: RunRequest) -> bool:
         return self.has_key(cache_key(request))
 
     def __len__(self) -> int:
-        version_dir = self.root / f"v{SCHEMA_VERSION}"
-        if not version_dir.is_dir():
-            return 0
-        return sum(1 for _ in version_dir.glob("*/*.json"))
+        return len(self._blobs)
 
     def clear(self) -> int:
         """Delete every entry of the current schema; returns the count."""
-        version_dir = self.root / f"v{SCHEMA_VERSION}"
-        removed = 0
-        if version_dir.is_dir():
-            for entry in version_dir.glob("*/*.json"):
-                entry.unlink(missing_ok=True)
-                removed += 1
-        return removed
+        return self._blobs.clear()
+
+
+_DECODERS = {"metrics": RunMetrics.from_dict, "failure": RunFailure.from_dict}
 
 
 class SweepJournal:
@@ -188,42 +179,26 @@ class SweepJournal:
 
     Unlike the result cache the journal also records failures and works when
     caching is disabled, which is what makes interrupted ``--no-cache``
-    sweeps resumable.  Corrupt or truncated trailing lines (a crash
-    mid-write) are skipped, not fatal.
+    sweeps resumable.  It is a :class:`~repro.common.durable.JsonlLog`: a
+    torn trailing line (a crash mid-write) is dropped on load, and a corrupt
+    record anywhere else raises :class:`~repro.common.durable.CorruptLogError`.
     """
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
+        self._log = JsonlLog(self.path)
         self._entries: dict[str, RunOutcome] = {}
-        self._fh = None
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def load(self) -> int:
         """Read previously journalled outcomes; returns how many loaded."""
-        if not self.path.exists():
-            return 0
-        loaded = 0
-        with self.path.open() as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                    key = record["key"]
-                    if record["kind"] == "metrics":
-                        outcome: RunOutcome = RunMetrics.from_dict(record["payload"])
-                    elif record["kind"] == "failure":
-                        outcome = RunFailure.from_dict(record["payload"])
-                    else:
-                        continue
-                except (ValueError, KeyError, TypeError):
-                    continue  # torn trailing line from a crash mid-write
-                self._entries[key] = outcome
-                loaded += 1
-        return loaded
+        return self._log.replay(self._apply)
+
+    def _apply(self, record: dict) -> None:
+        decode = _DECODERS[record["kind"]]  # an unknown kind is a KeyError
+        self._entries[record["key"]] = decode(record["payload"])
 
     def get(self, key: str) -> RunOutcome | None:
         return self._entries.get(key)
@@ -232,23 +207,15 @@ class SweepJournal:
         """Journal one terminal outcome (idempotent per key)."""
         if key in self._entries:
             return
-        if isinstance(outcome, RunFailure):
-            if outcome.kind == FAILURE_CANCELLED:
-                return  # never ran; must run on resume
-            record = {"key": key, "kind": "failure", "payload": outcome.to_dict()}
-        else:
-            record = {"key": key, "kind": "metrics", "payload": outcome.to_dict()}
+        failed = isinstance(outcome, RunFailure)
+        if failed and outcome.kind == FAILURE_CANCELLED:
+            return  # never ran; must run on resume
         self._entries[key] = outcome
-        if self._fh is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._fh = self.path.open("a")
-        self._fh.write(json.dumps(record, sort_keys=True) + "\n")
-        self._fh.flush()
+        kind = "failure" if failed else "metrics"
+        self._log.append({"key": key, "kind": kind, "payload": outcome.to_dict()})
 
     def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        self._log.close()
 
     def __enter__(self) -> "SweepJournal":
         return self

@@ -13,12 +13,13 @@ JSONL event log from the same stream.
 from __future__ import annotations
 
 import dataclasses
-import json
 import sys
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Protocol, TextIO, runtime_checkable
+
+from repro.common.durable import JsonlLog
 
 #: Version stamp for serialized events.  Bump only on *incompatible*
 #: changes (renamed/retyped fields); purely additive fields keep the
@@ -188,35 +189,32 @@ class JsonlEventLog:
 
     The conventional file suffix is ``.events.jsonl`` (gitignored).
 
-    The output file is opened lazily on the first event, so constructing a
-    log and then crashing (or sweeping an empty batch) neither truncates an
-    existing file nor leaves an empty one behind.  ``close()`` is idempotent
-    and permanently seals the log: construction-to-close with no events is
-    a no-op on the filesystem.
+    The output file is a :class:`~repro.common.durable.JsonlLog` replaced
+    on the first event, so constructing a log and then crashing (or sweeping
+    an empty batch) neither truncates an existing file nor leaves an empty
+    one behind.  ``close()`` is idempotent and permanently seals the log:
+    construction-to-close with no events is a no-op on the filesystem.
     """
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
-        self._fh: TextIO | None = None
+        self._log = JsonlLog(self.path)
         self._closed = False
         self._seq = 0
 
     def __call__(self, event: RunEvent) -> None:
         if self._closed:
             return
-        if self._fh is None:
-            self._fh = self.path.open("w")
+        if self._seq == 0:
+            self.path.unlink(missing_ok=True)
         record: dict[str, object] = {"seq": self._seq, "ts": round(time.time(), 6)}
         record.update(event.to_dict())
         self._seq += 1
-        self._fh.write(json.dumps(record, sort_keys=True) + "\n")
-        self._fh.flush()
+        self._log.append(record)
 
     def close(self) -> None:
         self._closed = True
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        self._log.close()
 
     def __enter__(self) -> "JsonlEventLog":
         return self
@@ -226,12 +224,6 @@ class JsonlEventLog:
 
 
 def read_events(path: str | Path) -> list[RunEvent]:
-    """Parse a :class:`JsonlEventLog` file back into events (blank lines
-    skipped), preserving file order — the round-trip inverse of the log."""
-    events: list[RunEvent] = []
-    with Path(path).open() as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                events.append(RunEvent.from_dict(json.loads(line)))
-    return events
+    """Parse a :class:`JsonlEventLog` file back into events, preserving file
+    order — the round-trip inverse of the log (torn tail dropped)."""
+    return [RunEvent.from_dict(record) for record in JsonlLog(path).read()]

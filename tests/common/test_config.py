@@ -62,9 +62,7 @@ class TestProtectionConfig:
 
     def test_non_sdo_rejects_predictor(self):
         with pytest.raises(ValueError):
-            ProtectionConfig(
-                kind=ProtectionKind.STT, predictor=PredictorKind.HYBRID
-            )
+            ProtectionConfig(kind=ProtectionKind.STT, predictor=PredictorKind.HYBRID)
 
     @pytest.mark.parametrize(
         "kind,predictor,fp,label",

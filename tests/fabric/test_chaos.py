@@ -23,6 +23,7 @@ from pathlib import Path
 import pytest
 
 from repro.common.config import AttackModel
+from repro.common.durable import JsonlLog
 from repro.fabric.chaos import (
     FAULT_DROP_REQUEST,
     FAULT_KINDS,
@@ -30,7 +31,6 @@ from repro.fabric.chaos import (
     ChaosSpec,
     ChaosProxy,
     endpoint_class,
-    read_ledger,
 )
 from repro.fabric.transport import (
     FabricError,
@@ -203,7 +203,7 @@ class TestChaosProxy:
             # Limit exhausted: the next request passes clean.
             assert transport.get_json("/v1/ping")["hits"] == 1
         assert ("GET", "/v1/ping") in hits
-        (entry,) = read_ledger(ledger)
+        (entry,) = JsonlLog(ledger).read()
         assert entry["fault"] == "drop-request"
         assert entry["endpoint"] == "GET /v1/ping"
 
@@ -364,15 +364,15 @@ def test_thirty_cell_sweep_through_chaos_matches_local(tmp_path):
     ]
 
     # Chaos actually happened — the ledger proves what was survived.
-    faults = read_ledger(fault_ledger)
+    faults = JsonlLog(fault_ledger).read()
     assert len(faults) >= 10, faults
     assert len({f["fault"] for f in faults}) >= 3
     assert {f["fault"] for f in faults} <= set(FAULT_KINDS)
 
     # Zero duplicate executions: every cell ran at most once, fleet-wide.
     executed = {}
-    for line in exec_ledger.read_text().splitlines():
-        key = line.split()[0]
+    for record in JsonlLog(exec_ledger).read():
+        key = record["key"]
         executed[key] = executed.get(key, 0) + 1
     duplicates = {k: n for k, n in executed.items() if n > 1}
     assert not duplicates, f"cells executed more than once: {duplicates}"

@@ -26,6 +26,7 @@ from pathlib import Path
 import pytest
 
 from repro.common.config import AttackModel
+from repro.common.durable import JsonlLog
 from repro.sim import CachePolicy, ExecutionPolicy, Session
 from repro.sim.api import RunMetrics, RunRequest
 from repro.sim.configs import config_by_name
@@ -139,10 +140,9 @@ def count_done(state_dir):
 
 def ledger_counts(path):
     counts = {}
-    if Path(path).exists():
-        for line in Path(path).read_text().splitlines():
-            key = line.split()[0]
-            counts[key] = counts.get(key, 0) + 1
+    for record in JsonlLog(path).read():
+        key = record["key"]
+        counts[key] = counts.get(key, 0) + 1
     return counts
 
 

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.common.config import AttackModel
+from repro.common.durable import CorruptLogError
 from repro.fabric.queue import FabricQueue, worker_lost_failure
 from repro.fabric.wire import CELL_DONE, CELL_LEASED, CELL_PENDING
 from repro.sim.api import FAILURE_CRASH, FAILURE_HANG, RunFailure, RunMetrics
@@ -229,6 +230,60 @@ class TestDurability:
         with pytest.raises(ValueError, match="unknown queue record kind"):
             reloaded._apply({"kind": "mystery", "key": "k1"})
 
+    def test_restart_after_torn_tail_appends_cleanly(self, tmp_path):
+        """The torn fragment is cut before the next append, so a second
+        restart does not find it glued to a record mid-file."""
+        queue = make_queue(tmp_path)
+        queue.close()
+        path = tmp_path / "queue.jsonl"
+        path.write_text(path.read_text() + '{"kind": "done", "key": "k2", "outc')
+
+        reloaded = self.reload(tmp_path)
+        reloaded.claim("w1", lease_seconds=10, now=0.0)
+        reloaded.complete("k1", metrics(cycles=7))
+        reloaded.close()
+        assert self.reload(tmp_path).cells["k1"].outcome.cycles == 7
+
+    def garble_line(self, tmp_path, kind, key):
+        """Cut the ``kind`` record of ``key`` in half, as bit rot or a bad
+        copy would, leaving the lines after it intact; returns its line."""
+        path = tmp_path / "queue.jsonl"
+        lines = path.read_text().splitlines()
+        for number, line in enumerate(lines, 1):
+            record = json.loads(line)
+            if record["kind"] == kind and record.get("key") == key:
+                lines[number - 1] = line[: len(line) // 2]
+                path.write_text("\n".join(lines) + "\n")
+                return number
+        raise AssertionError(f"no {kind} record for {key}")
+
+    @pytest.mark.parametrize("kind", ["cell", "done"])
+    def test_garbled_midfile_line_raises(self, tmp_path, kind):
+        """Regression: a corrupt line before the tail used to be skipped,
+        dropping the cell (or reloading a done cell as pending) while its
+        token still said done."""
+        queue = make_queue(tmp_path)
+        queue.claim("w1", lease_seconds=10, now=0.0)
+        queue.complete("k1", metrics(), token="t1")
+        queue.close()
+        number = self.garble_line(tmp_path, kind, "k1")
+
+        with pytest.raises(CorruptLogError) as raised:
+            self.reload(tmp_path)
+        assert raised.value.line == number
+        assert f"queue.jsonl:{number}: corrupt record" in str(raised.value)
+
+    def test_unknown_record_kind_midfile_raises(self, tmp_path):
+        queue = make_queue(tmp_path)
+        queue.close()
+        path = tmp_path / "queue.jsonl"
+        lines = path.read_text().splitlines()
+        lines.insert(1, json.dumps({"kind": "mystery", "key": "k1"}))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CorruptLogError) as raised:
+            self.reload(tmp_path)
+        assert raised.value.line == 2
+
     def test_settle_stamps_queue_attempt_count(self, tmp_path):
         queue = make_queue(tmp_path, retry=RETRY_ONCE, cells=("k1",))
         queue.claim("w1", lease_seconds=10, now=0.0)
@@ -379,7 +434,7 @@ class TestCompaction:
     def test_crash_during_rename_recovers(self, tmp_path, monkeypatch):
         """kill -9 between snapshot fsync and rename: os.replace never ran,
         the old journal is untouched, and a restart recovers everything."""
-        import repro.fabric.queue as queue_module
+        import repro.common.durable as durable_module
 
         queue = make_queue(tmp_path, cells=("k1", "k2"))
         queue.claim("w1", lease_seconds=10, now=0.0)
@@ -388,7 +443,7 @@ class TestCompaction:
         def crash(*_args):
             raise OSError("simulated kill -9 at the rename point")
 
-        monkeypatch.setattr(queue_module.os, "replace", crash)
+        monkeypatch.setattr(durable_module.os, "replace", crash)
         with pytest.raises(OSError):
             queue.compact()
         monkeypatch.undo()

@@ -426,6 +426,41 @@ class TestHardening:
         finally:
             scheduler.close()
 
+    def test_flipped_artifact_is_never_served(self, tmp_path):
+        """Regression: the scheduler used to re-stamp a fresh CRC over
+        whatever its store returned, so a digit flipped on disk reached the
+        worker as a valid artifact.  Now the stored CRC is checked first:
+        the flipped entry is answered from the queue's own ``done``
+        outcome, or not at all."""
+        from repro.fabric.wire import encode_outcome
+
+        scheduler = FabricScheduler(tmp_path / "state")
+        try:
+            scheduler.submit(self.submit_payload(("tau",)))
+            key = scheduler.claim(envelope(worker="w"))["cell"]["key"]
+            settled = RunMetrics(
+                workload="tau",
+                config="Unsafe",
+                attack_model=AttackModel.SPECTRE,
+                cycles=1234,
+                instructions=8,
+            )
+            scheduler.complete(
+                key, envelope(worker="w", outcome=encode_outcome(settled))
+            )
+            orphan = "f" * 64  # stored, but no queue record to fall back on
+            scheduler.store.put_key(orphan, settled)
+            for stored in (key, orphan):
+                path = scheduler.store.path_for(stored)
+                text = path.read_text()
+                assert '"cycles": 1234' in text
+                path.write_text(text.replace('"cycles": 1234', '"cycles": 2234'))
+
+            assert scheduler.artifact(key)["metrics"] == settled.to_dict()
+            assert scheduler.artifact(orphan) is None
+        finally:
+            scheduler.close()
+
     def test_artifact_payload_carries_matching_crc(self, fabric, tmp_path):
         from repro.fabric.wire import payload_crc32
 

@@ -8,6 +8,7 @@ import multiprocessing
 import pytest
 
 from repro.common.config import AttackModel, MachineConfig
+from repro.common.durable import CorruptLogError
 from repro.sim.api import FAILURE_CANCELLED, RunFailure, RunMetrics, RunRequest
 from repro.sim.cache import ResultCache, SweepJournal, cache_key
 from repro.sim.configs import config_by_name
@@ -143,6 +144,18 @@ class TestResultCache:
         cache.put(request, metrics_for(request))
         path = cache.path_for(cache_key(request))
         path.write_text("{not json")
+        assert cache.get(request) is None
+
+    def test_flipped_digit_is_a_miss(self, tmp_path):
+        """Regression: a v2 entry with one digit changed on disk was served
+        as truth; the entry's CRC now turns it into a miss."""
+        cache = ResultCache(tmp_path)
+        request = make_request()
+        cache.put(request, metrics_for(request, cycles=1234))
+        path = cache.path_for(cache_key(request))
+        text = path.read_text()
+        assert '"cycles": 1234' in text
+        path.write_text(text.replace('"cycles": 1234', '"cycles": 2234'))
         assert cache.get(request) is None
 
     def test_wrong_key_in_payload_is_a_miss(self, tmp_path):
@@ -299,6 +312,21 @@ class TestSweepJournal:
         assert loaded.load() == 1
         assert loaded.get("good") is not None
         assert loaded.get("torn") is None
+
+    def test_corrupt_midfile_line_raises(self, tmp_path):
+        """Only the last line may be torn: a corrupt line before it would
+        otherwise silently drop a recorded outcome."""
+        path = tmp_path / "sweep.journal"
+        request = make_request()
+        with SweepJournal(path) as journal:
+            for key in ("a", "b", "c"):
+                journal.record(key, metrics_for(request))
+        lines = path.read_text().splitlines()
+        lines[1] = lines[1][:20]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CorruptLogError) as raised:
+            SweepJournal(path).load()
+        assert raised.value.line == 2
 
     def test_load_missing_file_is_empty(self, tmp_path):
         journal = SweepJournal(tmp_path / "nope.journal")

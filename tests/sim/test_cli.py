@@ -120,3 +120,39 @@ def test_sweep_unknown_workload_rejected(tmp_path):
             "sweep", "--workloads", "nope", "--scale", "0.05",
             "--cache-dir", str(tmp_path),
         ])
+
+
+def corrupt_first_line(path):
+    """A JSONL file whose first line is cut in half — corruption, since a
+    complete line follows it (only the last line may be torn)."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text('{"key": "a", "kind": "met\n{"key": "b"}\n')
+
+
+def assert_clean_corrupt_log_error(capsys, path):
+    captured = capsys.readouterr()
+    assert captured.err.splitlines()[0] == (
+        f"error: {path}:1: corrupt record (not a torn tail)"
+    )
+    assert f"move {path} aside" in captured.err
+    assert "Traceback" not in captured.err + captured.out
+
+
+def test_sweep_resume_from_corrupt_journal_exits_2(capsys, tmp_path):
+    journal = tmp_path / "sweep.journal"
+    corrupt_first_line(journal)
+    assert main([
+        "sweep", "--workloads", "exchange2_like", "--configs", "Hybrid",
+        "--models", "spectre", "--scale", "0.05", "--no-cache",
+        "--journal", str(journal), "--resume",
+    ]) == 2
+    assert_clean_corrupt_log_error(capsys, journal)
+
+
+def test_fabric_serve_on_corrupt_queue_exits_2(capsys, tmp_path):
+    queue = tmp_path / "state" / "queue.jsonl"
+    corrupt_first_line(queue)
+    assert main([
+        "fabric", "serve", "--state-dir", str(queue.parent), "--port", "0",
+    ]) == 2
+    assert_clean_corrupt_log_error(capsys, queue)

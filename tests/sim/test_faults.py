@@ -5,7 +5,6 @@ deterministic :mod:`repro.testing.faults` harness."""
 import multiprocessing
 import os
 import signal
-import threading
 
 import pytest
 
@@ -40,7 +39,7 @@ def cell(name, seed=1):
 
 def make_session(tmp_path=None, **kwargs):
     """Build a Session from flat engine-ish kwargs via the policy objects
-    (keeps these tests terse without exercising the deprecated shim)."""
+    (keeps these tests terse)."""
     kwargs.setdefault("max_instructions", 2_000)
     execution = ExecutionPolicy(
         **{
@@ -302,22 +301,27 @@ class TestCancellation:
             state_dir=tmp_path / "faults",
         )
         journal_path = tmp_path / "sweep.journal"
+        started = []
+
+        def interrupt_once_both_workers_run(event):
+            # SIGINT as soon as the second cell is on a worker — not on a
+            # wall-clock timer, which a loaded host can outrun.
+            if event.kind == "started":
+                started.append(event.index)
+                if len(started) == 2:
+                    os.kill(os.getpid(), signal.SIGINT)
+
         session = make_session(
-            jobs=2, journal=journal_path, observers=[]
+            jobs=2, journal=journal_path, observers=[interrupt_once_both_workers_run]
         )
         requests = [
             session.request(cell(f"slow{i}", seed=i + 1), "Unsafe")
             for i in range(6)
         ]
-        timer = threading.Timer(
-            0.4, lambda: os.kill(os.getpid(), signal.SIGINT)
-        )
-        timer.start()
         try:
             with inject(plan):
                 outcomes = session.run_many(requests)
         finally:
-            timer.cancel()
             session.close()
         assert len(outcomes) == 6
         assert [o.workload for o in outcomes] == [f"slow{i}" for i in range(6)]
