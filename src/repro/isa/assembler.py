@@ -168,7 +168,7 @@ def assemble(
             Instruction(opcode, rd=rd, rs1=rs1, rs2=rs2, imm=imm, target=target, label=label)
         )
 
-    return Program(instructions, dict(initial_memory or {}), name=name)
+    return Program(instructions, initial_memory or {}, name=name)
 
 
 def _render_reg(reg: int) -> str:

@@ -179,7 +179,7 @@ class Interpreter:
 
     def __init__(self, program: Program) -> None:
         self.program = program
-        self.state = ArchState(memory=dict(program.initial_memory))
+        self.state = ArchState(memory=program.initial_memory.copy())
         self.pc = 0
         self.halted = False
         self.instructions_retired = 0

@@ -317,7 +317,7 @@ class Core:
         self.bpred = TournamentPredictor()
         self.btb = BranchTargetBuffer()
 
-        self.committed = ArchState(memory=dict(program.initial_memory))
+        self.committed = ArchState(memory=program.initial_memory.copy())
         # The golden reference is pluggable: by default the functional ISS
         # re-executes the program alongside the timing model, but any object
         # with an :class:`Interpreter`-shaped ``step()`` (seq/pc/opcode/

@@ -38,7 +38,6 @@ import hashlib
 import json
 import struct
 import sys
-import weakref
 import zlib
 from array import array
 from collections import namedtuple
@@ -52,7 +51,8 @@ if TYPE_CHECKING:
 
 #: Bump whenever the record layout, header, or :func:`trace_key` material
 #: changes — pinned by the sdolint ``cache-schema`` checker (trace section).
-TRACE_SCHEMA_VERSION = 1
+#: v2: the key material is the program ``digest``, not canonicalized lists.
+TRACE_SCHEMA_VERSION = 2
 
 _MAGIC = b"RPRT"
 _HEADER = struct.Struct("<4sHBBIIQI")
@@ -328,55 +328,25 @@ class ArchTrace:
         )
 
 
-#: Per-process memo for :func:`trace_key`: canonicalizing a whole program
-#: costs milliseconds, and a sweep asks for the same program's key once per
-#: cell.  Keyed by ``id(program)`` with a weakref guard (the finalizer
-#: evicts the entry, so a recycled id can never alias a dead program).
-#: Programs are treated as immutable everywhere (the result cache's
-#: ``cache_key`` makes the same assumption).
-_KEY_MEMO: dict[int, tuple["weakref.ref", dict[int, str]]] = {}
-
-
 def trace_key(request: "RunRequest") -> str:
     """Content address of the architectural trace ``request`` commits.
 
     Deliberately a *strict subset* of the result-cache key: the program's
-    instructions and initial memory plus the instruction budget.  Excluded
-    — because they cannot change what commits, only when — are the
-    protection config, attack model, machine/memory parameters, warm set,
-    cycle budget, and ``check_golden``.  That exclusion is the whole
-    record-once/replay-many win: every scheme × machine cell of a sweep
-    over one workload shares a single trace.
+    content :attr:`~repro.isa.program.Program.digest` (instructions and
+    initial memory) plus the instruction budget.  Excluded — because they
+    cannot change what commits, only when — are the protection config,
+    attack model, machine/memory parameters, warm set, cycle budget, and
+    ``check_golden``.  That exclusion is the whole record-once/replay-many
+    win: every scheme × machine cell of a sweep over one workload shares a
+    single trace.
     """
-    from repro.sim.cache import _canonical
-
-    program = request.workload.program
-    budget = request.max_instructions
-    entry = _KEY_MEMO.get(id(program))
-    if entry is not None and entry[0]() is program:
-        cached = entry[1].get(budget)
-        if cached is not None:
-            return cached
     material = {
         "schema": TRACE_SCHEMA_VERSION,
-        "instructions": _canonical(program.instructions),
-        "initial_memory": _canonical(program.initial_memory),
-        "max_instructions": budget,
+        "program": request.workload.program.digest,
+        "max_instructions": request.max_instructions,
     }
     blob = json.dumps(material, sort_keys=True, separators=(",", ":"))
-    key = hashlib.sha256(blob.encode("utf-8")).hexdigest()
-    try:
-        if entry is not None and entry[0]() is program:
-            entry[1][budget] = key
-        else:
-            ref = weakref.ref(
-                program,
-                lambda _, pid=id(program): _KEY_MEMO.pop(pid, None),
-            )
-            _KEY_MEMO[id(program)] = (ref, {budget: key})
-    except TypeError:  # pragma: no cover - un-weakref-able program stand-in
-        pass
-    return key
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 class TraceCursor:

@@ -690,8 +690,8 @@ class Session:
             for request, outcome in zip(requests, outcomes):
                 key = cache_key(request)
                 if self.cache is not None and isinstance(outcome, RunMetrics):
-                    if self.cache.get(request) is None:
-                        self.cache.put(request, outcome)
+                    if self.cache.get_key(key) is None:
+                        self.cache.put_key(key, outcome)
                 if self.journal is not None:
                     self.journal.record(key, outcome)
         return outcomes

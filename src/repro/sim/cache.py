@@ -2,10 +2,11 @@
 
 Simulation is a pure function of a :class:`~repro.sim.api.RunRequest`, so a
 result can be reused whenever the *semantic* inputs match: the workload's
-program, initial memory and warm set, the Table II configuration, the attack
-model, the machine, and the run limits.  :func:`cache_key` folds exactly
-those into a SHA-256 hex digest; names and descriptions are deliberately
-excluded, so a renamed but otherwise identical workload still hits.
+program (its content digest) and warm set, the Table II configuration, the
+attack model, the machine, and the run limits.  :func:`cache_key` folds
+exactly those into a SHA-256 hex digest; names and descriptions are
+deliberately excluded, so a renamed but otherwise identical workload still
+hits.
 
 Entries live under ``<root>/v<SCHEMA_VERSION>/<key[:2]>/<key>.json`` and
 hold the serialized metrics with a CRC-32 of their canonical JSON.
@@ -39,15 +40,15 @@ from repro.sim.api import (
 #: max_instructions) — v1 entries cannot say whether the run halted.
 #: v3: entries carry a ``crc32`` of the canonical metrics JSON, checked on
 #: read (a v2 entry with a flipped digit was served as truth).
-SCHEMA_VERSION = 3
+#: v4: the program enters the key as ``Program.digest``, not as JSON lists.
+SCHEMA_VERSION = 4
 
 
 def _canonical(obj: object) -> object:
-    """Reduce configs/instructions to a JSON-stable structure.
+    """Reduce configs to a JSON-stable structure.
 
-    Dataclasses become ``{field: value}`` (non-compare fields like
-    instruction labels are skipped), enums become their names, dicts become
-    sorted ``[key, value]`` pairs.
+    Dataclasses become ``{field: value}`` (non-compare fields are skipped)
+    and enums become their names.
     """
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {
@@ -57,8 +58,6 @@ def _canonical(obj: object) -> object:
         }
     if isinstance(obj, enum.Enum):
         return obj.name
-    if isinstance(obj, dict):
-        return sorted([str(key), _canonical(value)] for key, value in obj.items())
     if isinstance(obj, (list, tuple)):
         return [_canonical(item) for item in obj]
     if obj is None or isinstance(obj, (str, int, float, bool)):
@@ -73,13 +72,12 @@ def cache_key(request: RunRequest) -> str:
     never changes the simulated outcome.  The engine instead bypasses the
     cache entirely for instrumented requests (the trace files must actually
     be produced, and host-dependent ``profile.*`` stats must not be stored).
+    The program enters as its :attr:`~repro.isa.program.Program.digest`.
     """
-    program = request.workload.program
     material = {
         "schema": SCHEMA_VERSION,
-        "instructions": _canonical(program.instructions),
-        "initial_memory": _canonical(program.initial_memory),
-        "warm_addresses": _canonical(request.workload.warm_addresses),
+        "program": request.workload.program.digest,
+        "warm_addresses": request.workload.warm_addresses,
         "max_cycles": request.workload.max_cycles,
         "config": _canonical(request.config),
         "attack_model": request.attack_model.name,

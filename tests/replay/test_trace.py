@@ -251,3 +251,10 @@ def test_trace_key_tracks_architectural_inputs():
     base = trace_key(_request(workload))
     assert trace_key(_request(other)) != base
     assert trace_key(_request(workload, max_instructions=1000)) != base
+    memory = dict(workload.program.initial_memory)
+    address = min(memory)
+    memory[address] += 1
+    one_word = dataclasses.replace(
+        workload, program=dataclasses.replace(workload.program, initial_memory=memory)
+    )
+    assert trace_key(_request(one_word)) != base

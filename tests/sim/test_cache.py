@@ -35,6 +35,13 @@ def make_request(**overrides) -> RunRequest:
     return RunRequest(**params)
 
 
+def with_memory_word_changed(workload: Workload) -> Workload:
+    memory = dict(workload.program.initial_memory)
+    memory[min(memory)] += 1
+    program = dataclasses.replace(workload.program, initial_memory=memory)
+    return dataclasses.replace(workload, program=program)
+
+
 def metrics_for(request: RunRequest, cycles=1234) -> RunMetrics:
     return RunMetrics(
         workload=request.workload.name,
@@ -68,6 +75,7 @@ class TestCacheKey:
             "check_golden": make_request(check_golden=False),
             "max_instructions": make_request(max_instructions=100_000),
             "program": make_request(workload=make_workload(iterations=61)),
+            "memory_word": make_request(workload=with_memory_word_changed(make_workload())),
             "warm_set": make_request(
                 workload=dataclasses.replace(
                     make_workload(), warm_addresses=(0x1000,)
