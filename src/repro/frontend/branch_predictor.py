@@ -13,7 +13,7 @@ repaired on a squash via the snapshot captured in the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 def _saturate(value: int, delta: int, maximum: int = 3) -> int:
@@ -61,9 +61,11 @@ class GshareTable:
         self._counters[index] = _saturate(self._counters[index], 1 if taken else -1)
 
 
-@dataclass(frozen=True)
-class BranchPrediction:
-    """A direction prediction plus the state needed to update/repair it."""
+class BranchPrediction(NamedTuple):
+    """A direction prediction plus the state needed to update/repair it.
+
+    A named tuple rather than a frozen dataclass: one is built for every
+    fetched conditional branch, wrong path included."""
 
     taken: bool
     history_snapshot: int  # global history *before* this prediction

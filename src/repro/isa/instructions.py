@@ -102,18 +102,27 @@ class Opcode(enum.Enum):
     HALT = ("halt", OpClass.SYSTEM)
 
     def __init__(self, mnemonic: str, op_class: OpClass) -> None:
+        # Static facts decoded once, as plain attributes: the pipeline reads
+        # them for every in-flight uop every cycle.
         self.mnemonic = mnemonic
         self.op_class = op_class
+        self.is_load = op_class is OpClass.LOAD
+        self.is_store = op_class is OpClass.STORE
+        self.is_branch = op_class is OpClass.BRANCH
+        # JMP is unconditional and never mispredicts direction, only its BTB
+        # target on a cold miss.
+        self.is_conditional_branch = self.is_branch and mnemonic != "jmp"
+        # FP micro-ops treated as transmitters under STT{ld+fp} (Table II:
+        # "unsafe loads and fmult/div/fsqrt micro-ops").  FADD/FSUB are
+        # fixed-latency in the modelled machine and therefore not transmitters.
+        self.is_fp_transmitter = mnemonic in ("fmul", "fdiv", "fsqrt")
 
 
-#: FP micro-ops treated as transmitters under STT{ld+fp} (Table II: "unsafe
-#: loads and fmult/div/fsqrt micro-ops").  FADD/FSUB are fixed-latency in the
-#: modelled machine and therefore not transmitters.
-FP_TRANSMIT_OPS = frozenset({Opcode.FMUL, Opcode.FDIV, Opcode.FSQRT})
+#: FP micro-ops treated as transmitters under STT{ld+fp}.
+FP_TRANSMIT_OPS = frozenset(op for op in Opcode if op.is_fp_transmitter)
 
-#: Conditional branch opcodes (JMP is unconditional and never mispredicts
-#: direction, only its BTB target on a cold miss).
-CONDITIONAL_BRANCHES = frozenset({Opcode.BEQ, Opcode.BNE, Opcode.BLT, Opcode.BGE})
+#: Conditional branch opcodes.
+CONDITIONAL_BRANCHES = frozenset(op for op in Opcode if op.is_conditional_branch)
 
 
 @dataclass(frozen=True)
@@ -139,27 +148,27 @@ class Instruction:
 
     @property
     def is_load(self) -> bool:
-        return self.op_class is OpClass.LOAD
+        return self.opcode.is_load
 
     @property
     def is_store(self) -> bool:
-        return self.op_class is OpClass.STORE
+        return self.opcode.is_store
 
     @property
     def is_mem(self) -> bool:
-        return self.is_load or self.is_store
+        return self.opcode.is_load or self.opcode.is_store
 
     @property
     def is_branch(self) -> bool:
-        return self.op_class is OpClass.BRANCH
+        return self.opcode.is_branch
 
     @property
     def is_conditional_branch(self) -> bool:
-        return self.opcode in CONDITIONAL_BRANCHES
+        return self.opcode.is_conditional_branch
 
     @property
     def is_fp_transmitter(self) -> bool:
-        return self.opcode in FP_TRANSMIT_OPS
+        return self.opcode.is_fp_transmitter
 
     def to_dict(self) -> dict[str, object]:
         """JSON-ready representation (inverse of :meth:`from_dict`).

@@ -59,6 +59,14 @@ class Program:
         material = repr((code, sorted(self.initial_memory.items())))
         return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
+    @cached_property
+    def sources(self) -> tuple[tuple[int, ...], ...]:
+        """Per PC, the registers the instruction reads
+        (:meth:`Instruction.sources`), decoded once for the pipeline's
+        rename stage.  Derived from the content like :attr:`digest`, so it
+        neither enters the digest nor travels."""
+        return tuple(inst.sources() for inst in self.instructions)
+
     def __getstate__(self) -> dict:
         # A mappingproxy does not pickle, so the words travel as a plain
         # dict.  The digest does not travel: the receiver derives it from

@@ -34,8 +34,10 @@ tuple; with any attached, the run takes the naive one-step-per-cycle loop.
 from __future__ import annotations
 
 import heapq
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass
+from operator import attrgetter
 
 from repro.common.config import MachineConfig, MemLevel
 from repro.common.stats import StatGroup
@@ -72,6 +74,8 @@ _FP_FAST_LATENCY = {
 #: (the operand-dependent timing of [5] the paper's FP example builds on).
 FP_SLOW_EXTRA = 40
 _SQ_FORWARD_LATENCY = 1
+#: Issue-select order: IQ insertion (see :meth:`Core._enter_iq`).
+_IQ_ORDER = attrgetter("iq_stamp")
 
 #: Every stall reason :meth:`Core._stall_reason` can attribute a
 #: zero-commit cycle to — the full ``core.stall.*`` namespace.  Kept as a
@@ -311,7 +315,14 @@ class Core:
         self.prf = PhysRegFile(core_cfg.phys_int_regs + core_cfg.phys_fp_regs)
         self.rename_map = RenameMap(self.prf)
         self.rob = ReorderBuffer(core_cfg.rob_entries)
-        self.iq: list[DynInst] = []
+        # The issue queue, in insertion order (a dict for O(1) removal).
+        self.iq: dict[DynInst, None] = {}
+        # Wakeup-driven select: the IQ uops whose issue operands are all
+        # ready, in IQ-insertion order, and per physical register the IQ
+        # uops still waiting on it (squashed ones are dropped lazily).
+        self._ready: list[DynInst] = []
+        self._consumers: list[list[DynInst]] = [[] for _ in range(self.prf.num_regs)]
+        self._iq_stamp = 0
         self.lq = LoadQueue(core_cfg.lq_entries)
         self.sq = StoreQueue(core_cfg.sq_entries)
         self.bpred = TournamentPredictor()
@@ -335,7 +346,6 @@ class Core:
         self._fetch_resume_cycle = 0
         self._fetch_halted = False
         self._decode_queue: deque[DynInst] = deque()
-        self._decode_ready: dict[int, int] = {}  # seq -> ready cycle
         self._events: list[tuple[int, int, str, DynInst]] = []
         self._event_tiebreak = 0
         self._last_commit_cycle = 0
@@ -598,7 +608,7 @@ class Core:
             if wake is None or self._fetch_resume_cycle < wake:
                 wake = self._fetch_resume_cycle
         if self._decode_queue:
-            ready = self._decode_ready.get(self._decode_queue[0].seq, 0)
+            ready = self._decode_queue[0].decode_ready
             if ready >= self.cycle and (wake is None or ready < wake):
                 wake = ready
         return wake
@@ -736,7 +746,9 @@ class Core:
 
     def _schedule(self, cycle: int, kind: str, uop: DynInst) -> None:
         self._event_tiebreak += 1
-        heapq.heappush(self._events, (max(cycle, self.cycle + 1), self._event_tiebreak, kind, uop))
+        if cycle <= self.cycle:
+            cycle = self.cycle + 1
+        heapq.heappush(self._events, (cycle, self._event_tiebreak, kind, uop))
 
     def _process_events(self) -> None:
         while self._events and self._events[0][0] <= self.cycle:
@@ -766,52 +778,55 @@ class Core:
     def _fetch(self) -> int:
         if self._fetch_halted or self.cycle < self._fetch_resume_cycle:
             return 0
-        if len(self._decode_queue) >= 3 * self.config.core.fetch_width:
+        core_cfg = self.config.core
+        if len(self._decode_queue) >= 3 * core_cfg.fetch_width:
             self.stats.bump("fetch_buffer_full_cycles")
             self._cycle_fetch_stall = "fetch_buffer_full_cycles"
             return 0
-        rooms = self.config.core.fetch_width
+        program = self.program.instructions
+        decode_queue = self._decode_queue
+        decode_ready = self.cycle + core_cfg.fetch_to_decode_latency
+        pc = self.fetch_pc
         fetched = 0
-        while rooms > 0:
-            if not 0 <= self.fetch_pc < len(self.program):
+        while fetched < core_cfg.fetch_width:
+            if not 0 <= pc < len(program):
                 # Ran off the program on a wrong path; wait for a redirect.
                 self.stats.bump("fetch_off_end_cycles")
                 if fetched == 0:
                     self._cycle_fetch_stall = "fetch_off_end_cycles"
-                return fetched
-            inst = self.program[self.fetch_pc]
-            uop = DynInst(self._seq, self.fetch_pc, inst)
+                break
+            inst = program[pc]
+            opcode = inst.opcode
+            uop = DynInst(self._seq, pc, inst)
             self._seq += 1
-            next_pc = self.fetch_pc + 1
-            taken_break = False
-            if inst.opcode is Opcode.JMP:
-                uop.predicted_taken = True
-                next_pc = inst.target if inst.target is not None else next_pc
-                taken_break = True
-            elif inst.is_conditional_branch:
-                prediction = self.bpred.predict(self.fetch_pc)
-                uop.prediction = prediction
-                uop.predicted_taken = prediction.taken
-                if prediction.taken:
-                    next_pc = inst.target if inst.target is not None else next_pc
-                    taken_break = True
+            next_pc = pc + 1
+            if opcode.is_branch:
+                if opcode.is_conditional_branch:
+                    prediction = self.bpred.predict(pc)
+                    uop.prediction = prediction
+                    uop.predicted_taken = prediction.taken
+                else:  # JMP
+                    uop.predicted_taken = True
+                if uop.predicted_taken and inst.target is not None:
+                    next_pc = inst.target
             uop.predicted_next_pc = next_pc
-            self._decode_queue.append(uop)
-            self._decode_ready[uop.seq] = self.cycle + self.config.core.fetch_to_decode_latency
-            self.stats.bump("fetched")
+            uop.decode_ready = decode_ready
+            decode_queue.append(uop)
             if self.observers:
                 for observer in self.observers:
                     observer.on_fetch(uop, self.cycle)
-            self.fetch_pc = next_pc
-            rooms -= 1
+            pc = next_pc
             fetched += 1
-            if inst.opcode is Opcode.HALT:
+            if opcode is Opcode.HALT:
                 # Stop fetching past a (possibly speculative) HALT; a squash
                 # redirect un-sticks us if it was wrong-path.
                 self._fetch_halted = True
-                return fetched
-            if taken_break:
-                return fetched  # taken-branch fetch break
+                break
+            if uop.predicted_taken:
+                break  # taken-branch fetch break
+        self.fetch_pc = pc
+        if fetched:
+            self.stats.bump("fetched", fetched)
         return fetched
 
     # ------------------------------------------------------------------ #
@@ -819,26 +834,30 @@ class Core:
     # ------------------------------------------------------------------ #
 
     def _dispatch(self) -> int:
-        width = self.config.core.decode_width
+        decode_queue = self._decode_queue
+        core_cfg = self.config.core
+        width = core_cfg.decode_width
+        cycle = self.cycle
+        rob, lq, sq = self.rob, self.lq, self.sq
         dispatched = 0
-        while width > 0 and self._decode_queue:
-            uop = self._decode_queue[0]
-            if self._decode_ready.get(uop.seq, 0) > self.cycle:
+        while width > 0 and decode_queue:
+            uop = decode_queue[0]
+            if uop.decode_ready > cycle:
                 break
-            if self.rob.full:
+            if len(rob._entries) >= rob.capacity:
                 self.stats.bump("rob_full_stalls")
                 self._cycle_dispatch_stall = "rob_full_stalls"
                 break
-            if uop.is_load and self.lq.full:
+            if uop.is_load and len(lq._entries) >= lq.capacity:
                 self.stats.bump("lq_full_stalls")
                 self._cycle_dispatch_stall = "lq_full_stalls"
                 break
-            if uop.is_store and self.sq.full:
+            if uop.is_store and len(sq._entries) >= sq.capacity:
                 self.stats.bump("sq_full_stalls")
                 self._cycle_dispatch_stall = "sq_full_stalls"
                 break
-            needs_iq = uop.inst.op_class is not OpClass.SYSTEM
-            if needs_iq and len(self.iq) >= self.config.core.iq_entries:
+            needs_iq = uop.op_class is not OpClass.SYSTEM
+            if needs_iq and len(self.iq) >= core_cfg.iq_entries:
                 self.stats.bump("iq_full_stalls")
                 self._cycle_dispatch_stall = "iq_full_stalls"
                 break
@@ -846,30 +865,29 @@ class Core:
                 self.stats.bump("no_preg_stalls")
                 self._cycle_dispatch_stall = "no_preg_stalls"
                 break
-            self._decode_queue.popleft()
-            self._decode_ready.pop(uop.seq, None)
-            self.rob.push(uop)
+            decode_queue.popleft()
+            rob.push(uop)
             uop.state = UopState.WAITING
-            uop.ready_cycle = self.cycle
+            uop.ready_cycle = cycle
             if uop.is_load:
-                self.lq.push(uop)
-            if uop.is_store:
-                self.sq.push(uop)
+                lq.push(uop)
+            elif uop.is_store:
+                sq.push(uop)
             if needs_iq:
-                self.iq.append(uop)
+                self._enter_iq(uop)
             else:
                 uop.state = UopState.COMPLETED
-                uop.complete_cycle = self.cycle
+                uop.complete_cycle = cycle
             if self.observers:
                 for observer in self.observers:
-                    observer.on_dispatch(uop, self.cycle)
+                    observer.on_dispatch(uop, cycle)
             dispatched += 1
             width -= 1
         return dispatched
 
     def _rename(self, uop: DynInst) -> bool:
         inst = uop.inst
-        uop.src_pregs = tuple(self.rename_map.lookup(src) for src in inst.sources())
+        uop.src_pregs = self.rename_map.lookup_all(self.program.sources[uop.pc])
         if inst.rd is not None:
             renamed = self.rename_map.rename_dest(inst.rd)
             if renamed is None:
@@ -882,54 +900,101 @@ class Core:
     # Issue / execute
     # ------------------------------------------------------------------ #
 
-    def _issue(self) -> int:
-        slots = self.config.core.issue_width
-        core_cfg = self.config.core
-        fu_free = {
-            OpClass.INT_ALU: core_cfg.int_alu_units,
-            OpClass.INT_MUL: core_cfg.int_mul_units,
-            OpClass.FP: core_cfg.fp_units,
-            OpClass.BRANCH: core_cfg.int_alu_units,  # branches share ALUs
-        }
-        mem_slots = core_cfg.mem_ports
-        self._capture_store_data()
-        issued: list[DynInst] = []
-        for uop in self.iq:
-            if slots == 0:
-                break
-            op_class = uop.inst.op_class
-            if op_class is OpClass.STORE:
-                # Stores issue (compute their address) once the *base*
-                # register is ready; the data may arrive later (split AGU).
-                if not self.prf.ready[uop.src_pregs[1]]:
-                    continue
-            elif not all(self.prf.ready[p] for p in uop.src_pregs):
+    def _enter_iq(self, uop: DynInst) -> None:
+        """Insert ``uop`` at the IQ tail: stamp it, and either put it on the
+        ready list or register it with the producers it still waits on.
+
+        A store waits only on its base register (split AGU: its data may
+        arrive after address generation, see :meth:`_capture_store_data`).
+        """
+        self._iq_stamp += 1
+        uop.iq_stamp = self._iq_stamp
+        self.iq[uop] = None
+        ready = self.prf.ready
+        operands = (uop.src_pregs[1],) if uop.is_store else uop.src_pregs
+        waiting = 0
+        for preg in operands:
+            if not ready[preg]:
+                self._consumers[preg].append(uop)
+                waiting += 1
+        uop.waiting_on = waiting
+        if not waiting:
+            # The newest stamp: the tail of the ready list.
+            self._ready.append(uop)
+
+    def _mark_ready(self, preg: int, value: int | float) -> None:
+        """Write ``preg`` and wake its consumers: a consumer with no other
+        operand outstanding joins the ready list at its IQ position."""
+        self.prf.mark_ready(preg, value)
+        waiters = self._consumers[preg]
+        if not waiters:
+            return
+        self._consumers[preg] = []
+        for uop in waiters:
+            if uop.squashed:
                 continue
-            if op_class in (OpClass.LOAD, OpClass.STORE):
-                if mem_slots == 0:
+            uop.waiting_on -= 1
+            if uop.waiting_on == 0:
+                insort(self._ready, uop, key=_IQ_ORDER)
+
+    def _issue(self) -> int:
+        """Select from the ready list, oldest IQ entry first.
+
+        The order is IQ insertion, which is what an in-order scan of the IQ
+        picks.  It equals ``seq`` order as long as a re-executed load or FP
+        op re-enters the IQ tail only after everything younger was squashed
+        (both re-entry paths squash first), but the stamp keeps select exact
+        without leaning on that.  Every FU class shares the one issue
+        width, so the ready list is one list, not one per class.
+        """
+        self._capture_store_data()
+        ready = self._ready
+        if not ready:
+            return 0
+        core_cfg = self.config.core
+        slots = core_cfg.issue_width
+        mem_slots = core_cfg.mem_ports
+        alu_free = branch_free = core_cfg.int_alu_units  # branches share ALUs
+        mul_free = core_cfg.int_mul_units
+        fp_free = core_cfg.fp_units
+        iq = self.iq
+        kept: list[DynInst] = []
+        for index, uop in enumerate(ready):
+            if slots == 0:
+                kept += ready[index:]
+                break
+            if uop.is_load or uop.is_store:
+                if mem_slots == 0 or (uop.is_load and not self._try_issue_load(uop)):
+                    kept.append(uop)
                     continue
-                if op_class is OpClass.LOAD and not self._try_issue_load(uop):
-                    continue
-                if op_class is OpClass.STORE:
+                if uop.is_store:
                     self._issue_store(uop)
                 mem_slots -= 1
-            elif op_class is OpClass.FP and uop.is_fp_transmitter:
-                if fu_free[OpClass.FP] == 0:
+            elif uop.is_fp_transmitter:
+                if fp_free == 0 or not self._try_issue_fp_transmitter(uop):
+                    kept.append(uop)
                     continue
-                if not self._try_issue_fp_transmitter(uop):
-                    continue
-                fu_free[OpClass.FP] -= 1
+                fp_free -= 1
             else:
-                if fu_free.get(op_class, 0) == 0:
+                op_class = uop.op_class
+                if op_class is OpClass.INT_ALU and alu_free:
+                    alu_free -= 1
+                elif op_class is OpClass.BRANCH and branch_free:
+                    branch_free -= 1
+                elif op_class is OpClass.INT_MUL and mul_free:
+                    mul_free -= 1
+                elif op_class is OpClass.FP and fp_free:
+                    fp_free -= 1
+                else:
+                    kept.append(uop)
                     continue
                 self._issue_simple(uop)
-                fu_free[op_class] -= 1
-            issued.append(uop)
+            del iq[uop]
             slots -= 1
+        issued = len(ready) - len(kept)
         if issued:
-            issued_set = set(id(u) for u in issued)
-            self.iq = [u for u in self.iq if id(u) not in issued_set]
-        return len(issued)
+            self._ready = kept
+        return issued
 
     def _execute(self, uop: DynInst) -> _ExecView:
         """Functionally execute ``uop`` with renamed operands."""
@@ -962,7 +1027,7 @@ class Core:
 
     def _latency_of(self, uop: DynInst) -> int:
         op = uop.inst.opcode
-        op_class = uop.inst.op_class
+        op_class = uop.op_class
         if op_class is OpClass.INT_ALU:
             return 1
         if op_class is OpClass.INT_MUL:
@@ -1166,12 +1231,6 @@ class Core:
             uop.seq
         )
 
-    def _obl_success_value(self, uop: DynInst) -> int | float:
-        """What the wait buffer forwards on success."""
-        if uop.sq_forward_seq is not None:
-            return uop.value  # captured via speculative_read at issue
-        return uop.value
-
     def _obl_wait_buffer(self, uop: DynInst) -> None:
         """A response reached the wait buffer (may be event B)."""
         if uop.obl_state is not OblState.INFLIGHT:
@@ -1237,7 +1296,9 @@ class Core:
                 # Cycles the correct data sat in the wait buffer waiting for
                 # deeper (imprecisely predicted) lookups to respond.
                 self.stats.bump("imprecision_cycles", max(0, self.cycle - first_hit))
-        self._writeback(uop, self._obl_success_value(uop))
+        # The wait buffer forwards the value read at issue (which
+        # speculative_read took from the SQ on a forwarding hit).
+        self._writeback(uop, uop.value)
 
     # ------------------------------------------------------------------ #
     # Completion / writeback
@@ -1259,10 +1320,8 @@ class Core:
     def _writeback(self, uop: DynInst, value: int | float | None) -> None:
         if uop.completed:
             return
-        if uop.dest_preg is not None and value is not None:
-            self.prf.mark_ready(uop.dest_preg, value)
-        elif uop.dest_preg is not None:
-            self.prf.mark_ready(uop.dest_preg, 0)
+        if uop.dest_preg is not None:
+            self._mark_ready(uop.dest_preg, 0 if value is None else value)
         uop.state = UopState.COMPLETED
         uop.complete_cycle = self.cycle
         if self.observers:
@@ -1410,7 +1469,7 @@ class Core:
         uop.complete_cycle = -1
         if uop.dest_preg is not None:
             self.prf.ready[uop.dest_preg] = False
-        self.iq.append(uop)
+        self._enter_iq(uop)
         return discarded
 
     def _issue_validation(self, uop: DynInst) -> None:
@@ -1442,7 +1501,7 @@ class Core:
             self.stats.bump("validation_mismatch_squashes")
             uop.value = current_value
             if uop.dest_preg is not None:
-                self.prf.mark_ready(uop.dest_preg, current_value)
+                self._mark_ready(uop.dest_preg, current_value)
             uop.invalidated_while_inflight = False
             self.stats.bump(
                 "sdo_squashed_uops", self._squash_after(uop.seq, uop.actual_next_pc)
@@ -1471,7 +1530,7 @@ class Core:
         uop.complete_cycle = -1
         if uop.dest_preg is not None:
             self.prf.ready[uop.dest_preg] = False
-        self.iq.append(uop)
+        self._enter_iq(uop)
 
     def _try_issue_fp_transmitter(self, uop: DynInst) -> bool:
         action = self.protection.fp_issue_decision(uop)
@@ -1514,10 +1573,13 @@ class Core:
         squash cost to its cause in the Figure 7 breakdown).
         """
         squashed = self.rob.squash_younger_than(seq)
+        if squashed:
+            self.stats.bump("squashed_uops", len(squashed))
         oldest_snapshot = None
         oldest_snapshot_seq = None
         for uop in squashed:  # youngest first
             uop.squashed = True
+            self.iq.pop(uop, None)
             uop.state = UopState.FETCHED
             if uop.dest_preg is not None:
                 self.rename_map.rollback_dest(uop.inst.rd, uop.old_dest_preg)
@@ -1528,14 +1590,12 @@ class Core:
                 oldest_snapshot = uop.prediction
                 oldest_snapshot_seq = uop.seq
             self.protection.on_squash(uop)
-            self.stats.bump("squashed_uops")
             if self.observers:
                 for observer in self.observers:
                     observer.on_squash(uop, self.cycle)
         for uop in self._decode_queue:
             if uop.seq > seq:
                 uop.squashed = True
-                self._decode_ready.pop(uop.seq, None)
                 if self.observers:
                     for observer in self.observers:
                         observer.on_squash(uop, self.cycle)
@@ -1549,7 +1609,8 @@ class Core:
             # Rewind speculative global history to before the oldest
             # squashed prediction.
             self.bpred.history = oldest_snapshot.history_snapshot
-        self.iq = [u for u in self.iq if not u.squashed]
+        if self._ready:
+            self._ready = [u for u in self._ready if not u.squashed]
         self.lq.squash_younger_than(seq)
         self.sq.squash_younger_than(seq)
         self._protected_watch = [u for u in self._protected_watch if not u.squashed]

@@ -32,7 +32,7 @@ class StoreQueue:
         return len(self._entries) >= self.capacity
 
     def push(self, uop: DynInst) -> None:
-        if self.full:
+        if len(self._entries) >= self.capacity:
             raise RuntimeError("SQ overflow — dispatch must check capacity")
         self._entries.append(uop)
         if len(self._entries) > self.peak_occupancy:
@@ -89,7 +89,7 @@ class LoadQueue:
         return len(self._entries) >= self.capacity
 
     def push(self, uop: DynInst) -> None:
-        if self.full:
+        if len(self._entries) >= self.capacity:
             raise RuntimeError("LQ overflow — dispatch must check capacity")
         self._entries.append(uop)
         if len(self._entries) > self.peak_occupancy:

@@ -80,6 +80,11 @@ class RenameMap:
     def lookup(self, arch: int) -> int:
         return self._map[arch]
 
+    def lookup_all(self, archs: tuple[int, ...]) -> tuple[int, ...]:
+        """The physical registers ``archs`` map to, in order."""
+        mapping = self._map
+        return tuple([mapping[arch] for arch in archs])
+
     def rename_dest(self, arch: int) -> tuple[int, int] | None:
         """Allocate a new physical register for a write to ``arch``.
 

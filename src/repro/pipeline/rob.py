@@ -31,7 +31,7 @@ class ReorderBuffer:
         return self._entries[0] if self._entries else None
 
     def push(self, uop: DynInst) -> None:
-        if self.full:
+        if len(self._entries) >= self.capacity:
             raise RuntimeError("ROB overflow — dispatch must check capacity")
         self._entries.append(uop)
         if len(self._entries) > self.peak_occupancy:

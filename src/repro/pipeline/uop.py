@@ -43,8 +43,14 @@ class DynInst:
 
     __slots__ = (
         "seq", "pc", "inst", "state", "squashed",
+        # static facts copied from the opcode at fetch
+        "op_class", "is_load", "is_store", "is_branch", "is_fp_transmitter",
+        # frontend: first cycle the uop may leave the decode queue
+        "decode_ready",
         # rename
         "src_pregs", "dest_preg", "old_dest_preg",
+        # issue select: IQ-insertion stamp, issue operands not yet ready
+        "iq_stamp", "waiting_on",
         # execution
         "issue_cycle", "complete_cycle", "result", "ready_cycle",
         "delayed_cycles",
@@ -76,9 +82,21 @@ class DynInst:
         self.state = UopState.FETCHED
         self.squashed = False
 
+        opcode = inst.opcode
+        self.op_class = opcode.op_class
+        self.is_load = opcode.is_load
+        self.is_store = opcode.is_store
+        self.is_branch = opcode.is_branch
+        self.is_fp_transmitter = opcode.is_fp_transmitter
+
+        self.decode_ready = 0
+
         self.src_pregs: tuple[int, ...] = ()
         self.dest_preg: int | None = None
         self.old_dest_preg: int | None = None
+
+        self.iq_stamp = -1
+        self.waiting_on = 0
 
         self.issue_cycle = -1
         self.complete_cycle = -1
@@ -121,24 +139,6 @@ class DynInst:
 
         self.taint_root: int | None = None
         self.src_taint_root: int | None = None
-
-    # Convenience passthroughs -------------------------------------------------
-
-    @property
-    def is_load(self) -> bool:
-        return self.inst.is_load
-
-    @property
-    def is_store(self) -> bool:
-        return self.inst.is_store
-
-    @property
-    def is_branch(self) -> bool:
-        return self.inst.is_branch
-
-    @property
-    def is_fp_transmitter(self) -> bool:
-        return self.inst.is_fp_transmitter
 
     @property
     def completed(self) -> bool:

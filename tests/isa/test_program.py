@@ -125,11 +125,17 @@ def test_digest_ignores_labels_and_name(program):
 def test_round_trips_keep_equality_and_digest(program):
     fresh = pickle.loads(pickle.dumps(program))
     digest = program.digest
+    # The rename stage's decoded source tuples are derived like the digest:
+    # they neither change it nor travel.
+    sources = program.sources
+    assert sources == tuple(inst.sources() for inst in program.instructions)
     hashed = pickle.loads(pickle.dumps(program))
     wire = Program.from_dict(json.loads(json.dumps(program.to_dict())))
     for copy in (fresh, hashed, wire):
         assert copy == program
         assert copy.digest == digest
-    assert "digest" not in vars(pickle.loads(pickle.dumps(program)))
+        assert copy.sources == sources
+    unpickled = vars(pickle.loads(pickle.dumps(program)))
+    assert "digest" not in unpickled and "sources" not in unpickled
     with pytest.raises(TypeError):
         hashed.initial_memory[0] = 1
