@@ -19,28 +19,18 @@ Protection configuration (:class:`ProtectionConfig`) selects between the
 design variants of Table II: ``Unsafe``, ``STT{ld}``, ``STT{ld+fp}``, and the
 SDO variants (``Static L1/L2/L3``, ``Hybrid``, ``Perfect``), each under either
 the *Spectre* or *Futuristic* attack model.
+
+Every config class is a :class:`~repro.common.codec.Codec`: its
+``to_dict``/``from_dict`` JSON form (enums by value, nested configs
+recursively) is how a machine travels to fabric workers.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
-
-def _scalar_fields_to_dict(obj) -> dict[str, object]:
-    """Serialize a flat dataclass of JSON-native scalars (wire helper)."""
-    return {f.name: getattr(obj, f.name) for f in fields(obj)}
-
-
-def _scalar_fields_from_dict(cls, payload: dict):
-    """Inverse of :func:`_scalar_fields_to_dict`.
-
-    Unknown payload keys are ignored (forward compatibility: an old client
-    can deserialize a newer scheduler's message); missing keys fall back to
-    the dataclass defaults.
-    """
-    names = {f.name for f in fields(cls)}
-    return cls(**{k: v for k, v in payload.items() if k in names})
+from repro.common.codec import Codec
 
 
 class MemLevel(enum.IntEnum):
@@ -104,7 +94,7 @@ class PredictorKind(enum.Enum):
 
 
 @dataclass(frozen=True)
-class CacheConfig:
+class CacheConfig(Codec):
     """One cache level.  Sizes in bytes."""
 
     name: str
@@ -130,17 +120,9 @@ class CacheConfig:
     def num_sets(self) -> int:
         return self.size // (self.line_size * self.assoc)
 
-    def to_dict(self) -> dict[str, object]:
-        """JSON-ready representation (inverse of :meth:`from_dict`)."""
-        return _scalar_fields_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "CacheConfig":
-        return _scalar_fields_from_dict(cls, payload)
-
 
 @dataclass(frozen=True)
-class TlbConfig:
+class TlbConfig(Codec):
     """L1 TLB parameters.  SDO only ever looks up the L1 TLB (Section V-B).
 
     The default uses 64KB pages (large-page mappings for data regions, as
@@ -159,17 +141,9 @@ class TlbConfig:
     hit_latency: int = 1
     walk_latency: int = 30
 
-    def to_dict(self) -> dict[str, object]:
-        """JSON-ready representation (inverse of :meth:`from_dict`)."""
-        return _scalar_fields_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "TlbConfig":
-        return _scalar_fields_from_dict(cls, payload)
-
 
 @dataclass(frozen=True)
-class DramConfig:
+class DramConfig(Codec):
     """DRAM behind the L3.
 
     The paper specifies "50ns latency after L2"; at our nominal 2GHz that is
@@ -184,17 +158,9 @@ class DramConfig:
     row_size: int = 8192
     banks: int = 8
 
-    def to_dict(self) -> dict[str, object]:
-        """JSON-ready representation (inverse of :meth:`from_dict`)."""
-        return _scalar_fields_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "DramConfig":
-        return _scalar_fields_from_dict(cls, payload)
-
 
 @dataclass(frozen=True)
-class CoreConfig:
+class CoreConfig(Codec):
     """Out-of-order core parameters (Table I, "Pipeline" row)."""
 
     fetch_width: int = 8
@@ -214,17 +180,9 @@ class CoreConfig:
     fp_units: int = 4
     mem_ports: int = 2
 
-    def to_dict(self) -> dict[str, object]:
-        """JSON-ready representation (inverse of :meth:`from_dict`)."""
-        return _scalar_fields_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "CoreConfig":
-        return _scalar_fields_from_dict(cls, payload)
-
 
 @dataclass(frozen=True)
-class ProtectionConfig:
+class ProtectionConfig(Codec):
     """Selects a Table II design variant + attack model.
 
     ``fp_transmitters`` distinguishes STT{ld} from STT{ld+fp}: when true,
@@ -272,29 +230,6 @@ class ProtectionConfig:
         }
         return names[self.predictor]
 
-    def to_dict(self) -> dict[str, object]:
-        """JSON-ready representation (inverse of :meth:`from_dict`)."""
-        return {
-            "kind": self.kind.value,
-            "attack_model": self.attack_model.value,
-            "predictor": self.predictor.value if self.predictor else None,
-            "fp_transmitters": self.fp_transmitters,
-            "dram_do_variant": self.dram_do_variant,
-            "early_forwarding": self.early_forwarding,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ProtectionConfig":
-        predictor = payload.get("predictor")
-        return cls(
-            kind=ProtectionKind(payload["kind"]),
-            attack_model=AttackModel(payload["attack_model"]),
-            predictor=PredictorKind(predictor) if predictor else None,
-            fp_transmitters=payload.get("fp_transmitters", False),
-            dram_do_variant=payload.get("dram_do_variant", False),
-            early_forwarding=payload.get("early_forwarding", True),
-        )
-
 
 def _default_l1i() -> CacheConfig:
     return CacheConfig("L1I", 32 * 1024, 64, 4, 2)
@@ -313,7 +248,7 @@ def _default_l3() -> CacheConfig:
 
 
 @dataclass(frozen=True)
-class MachineConfig:
+class MachineConfig(Codec):
     """The full simulated machine: Table I defaults."""
 
     core: CoreConfig = field(default_factory=CoreConfig)
@@ -350,39 +285,4 @@ class MachineConfig:
             return self.l1d.latency + self.l2.latency + self.l3.latency
         return (
             self.l1d.latency + self.l2.latency + self.l3.latency + self.dram.latency
-        )
-
-    def to_dict(self) -> dict[str, object]:
-        """JSON-ready representation (inverse of :meth:`from_dict`).
-
-        This is the machine's wire form for the sweep fabric: every nested
-        config serializes through its own ``to_dict`` and the result is pure
-        JSON scalars/containers.
-        """
-        return {
-            "core": self.core.to_dict(),
-            "l1i": self.l1i.to_dict(),
-            "l1d": self.l1d.to_dict(),
-            "l2": self.l2.to_dict(),
-            "l3": self.l3.to_dict(),
-            "tlb": self.tlb.to_dict(),
-            "dram": self.dram.to_dict(),
-            "protection": self.protection.to_dict(),
-            "mesh_hop_latency": self.mesh_hop_latency,
-            "mesh_dims": list(self.mesh_dims),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "MachineConfig":
-        return cls(
-            core=CoreConfig.from_dict(payload["core"]),
-            l1i=CacheConfig.from_dict(payload["l1i"]),
-            l1d=CacheConfig.from_dict(payload["l1d"]),
-            l2=CacheConfig.from_dict(payload["l2"]),
-            l3=CacheConfig.from_dict(payload["l3"]),
-            tlb=TlbConfig.from_dict(payload["tlb"]),
-            dram=DramConfig.from_dict(payload["dram"]),
-            protection=ProtectionConfig.from_dict(payload["protection"]),
-            mesh_hop_latency=payload.get("mesh_hop_latency", 1),
-            mesh_dims=tuple(payload.get("mesh_dims", (4, 2))),
         )

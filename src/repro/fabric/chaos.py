@@ -53,10 +53,11 @@ import re
 import socket
 import threading
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from urllib.parse import urlsplit
 
+from repro.common.codec import Codec
 from repro.common.durable import JsonlLog
 
 #: The injectable fault classes, in cumulative-draw order (serialized
@@ -107,7 +108,7 @@ def endpoint_class(method: str, path: str) -> str:
 
 
 @dataclass(frozen=True)
-class ChaosSpec:
+class ChaosSpec(Codec):
     """Fault rates for one endpoint class (or the ``"*"`` catch-all).
 
     Each rate is the probability mass of that fault per request, drawn
@@ -144,13 +145,6 @@ class ChaosSpec:
         """``(fault kind, rate)`` pairs in draw order."""
         return [(kind, getattr(self, _RATE_FIELDS[kind])) for kind in FAULT_KINDS]
 
-    def to_dict(self) -> dict[str, object]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ChaosSpec":
-        known = {f.name for f in fields(cls)}
-        return cls(**{k: v for k, v in payload.items() if k in known})
 
 
 class ChaosPlan:

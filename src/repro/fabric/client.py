@@ -25,7 +25,6 @@ just keeps polling until ``give_up_after`` seconds of continuous silence.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 import uuid
 from typing import Callable, Sequence
@@ -36,7 +35,7 @@ from repro.fabric.transport import (
     TransportPolicy,
 )
 from repro.fabric.wire import decode_outcome, envelope
-from repro.sim.api import RunFailure, RunOutcome, RunRequest, _rebrand
+from repro.sim.api import RunOutcome, RunRequest, _rebrand
 from repro.sim.events import QUEUED, TERMINAL_EVENTS, RunEvent
 
 #: Default continuous-unreachability budget before a sweep is abandoned.
@@ -119,8 +118,7 @@ class FabricClient:
         status = self._status(sweep_id, outcomes=True)
         outcomes = [decode_outcome(o) for o in status["outcomes"]]
         return [
-            self._localize(request, outcome)
-            for request, outcome in zip(requests, outcomes)
+            _rebrand(outcome, request) for request, outcome in zip(requests, outcomes)
         ]
 
     def _follow(self, sweep_id: str, emit) -> None:
@@ -180,29 +178,3 @@ class FabricClient:
     def _status(self, sweep_id: str, *, outcomes: bool = False) -> dict:
         suffix = "?outcomes=1" if outcomes else ""
         return self.transport.get_json(f"/v1/sweeps/{sweep_id}{suffix}")
-
-    # ------------------------------------------------------------- localizing
-
-    @staticmethod
-    def _localize(request: RunRequest, outcome: RunOutcome) -> RunOutcome:
-        """Stamp the requester's identity onto a fabric outcome.
-
-        Keys are content-addressed, so another submitter's identically-shaped
-        but differently-named request may have produced the stored result;
-        the names on what we return must be ours (the cache does the same
-        via ``_rebrand``).
-        """
-        if isinstance(outcome, RunFailure):
-            if (
-                outcome.workload == request.workload.name
-                and outcome.config == request.config.name
-                and outcome.attack_model is request.attack_model
-            ):
-                return outcome
-            return dataclasses.replace(
-                outcome,
-                workload=request.workload.name,
-                config=request.config.name,
-                attack_model=request.attack_model,
-            )
-        return _rebrand(outcome, request)

@@ -39,6 +39,7 @@ import time
 from dataclasses import dataclass
 from urllib.parse import urlsplit
 
+from repro.common.codec import Codec
 from repro.common.durable import CorruptLogError, parse_lines
 
 
@@ -53,7 +54,7 @@ class CircuitOpenError(FabricError):
 
 
 @dataclass(frozen=True)
-class TransportPolicy:
+class TransportPolicy(Codec):
     """Retry/backoff/circuit-breaker knobs for :class:`RetryingTransport`.
 
     ``retries``
@@ -111,31 +112,6 @@ class TransportPolicy:
             jitter=self.jitter,
         )
 
-    def to_dict(self) -> dict[str, object]:
-        """JSON-ready representation (inverse of :meth:`from_dict`) — the
-        policy rides :class:`~repro.sim.policies.ExecutionPolicy` over the
-        fabric wire."""
-        return {
-            "retries": self.retries,
-            "backoff_base": self.backoff_base,
-            "backoff_factor": self.backoff_factor,
-            "backoff_max": self.backoff_max,
-            "jitter": self.jitter,
-            "breaker_threshold": self.breaker_threshold,
-            "breaker_reset": self.breaker_reset,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "TransportPolicy":
-        return cls(
-            retries=payload.get("retries", 4),
-            backoff_base=payload.get("backoff_base", 0.05),
-            backoff_factor=payload.get("backoff_factor", 2.0),
-            backoff_max=payload.get("backoff_max", 2.0),
-            jitter=payload.get("jitter", 0.1),
-            breaker_threshold=payload.get("breaker_threshold", 5),
-            breaker_reset=payload.get("breaker_reset", 5.0),
-        )
 
 
 class CircuitBreaker:

@@ -1,10 +1,10 @@
 """The fabric's versioned wire format.
 
 Everything that crosses a fabric connection is JSON built from the
-``to_dict``/``from_dict`` pairs the simulation dataclasses already carry —
-:class:`~repro.sim.api.RunRequest` travels whole (program, warm set,
-machine, limits), outcomes travel as tagged
-:class:`~repro.sim.api.RunMetrics` / :class:`~repro.sim.api.RunFailure`
+``to_dict``/``from_dict`` pairs the simulation dataclasses get from
+:class:`~repro.common.codec.Codec` — :class:`~repro.sim.api.RunRequest`
+travels whole (program, warm set, machine, limits), outcomes travel as
+tagged :class:`~repro.sim.api.RunMetrics` / :class:`~repro.sim.api.RunFailure`
 payloads, and events are :class:`~repro.sim.events.RunEvent` dicts.
 
 ``WIRE_SCHEMA_VERSION`` stamps every envelope.  The rule mirrors the

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
+from repro.common.codec import Codec
 from repro.common.config import AttackModel, MachineConfig
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.pipeline.core import Core
@@ -66,7 +67,7 @@ TRANSIENT_FAILURE_KINDS = frozenset({FAILURE_CRASH, FAILURE_TIMEOUT})
 
 
 @dataclass(frozen=True)
-class Instrumentation:
+class Instrumentation(Codec):
     """Opt-in observability for a single run.
 
     ``trace_jsonl``/``trace_konata`` name output files for the cycle trace
@@ -76,12 +77,20 @@ class Instrumentation:
     engine bypasses the result cache for it in both directions — an
     instrumented run is never served from cache (the trace files must be
     produced) and never stored (profile stats describe this machine only).
+    For the same reason the fabric client refuses an active one.
     """
 
     trace_jsonl: str | Path | None = None
     trace_konata: str | Path | None = None
     trace_buffer: int = 4096
     profile: bool = False
+
+    def __post_init__(self) -> None:
+        # Paths are held as the strings they travel as, so a round trip is exact.
+        for name in ("trace_jsonl", "trace_konata"):
+            value = getattr(self, name)
+            if isinstance(value, Path):
+                object.__setattr__(self, name, str(value))
 
     @property
     def traced(self) -> bool:
@@ -91,31 +100,9 @@ class Instrumentation:
     def active(self) -> bool:
         return self.traced or self.profile
 
-    def to_dict(self) -> dict[str, object]:
-        """JSON-ready representation (inverse of :meth:`from_dict`).
-
-        Paths are serialized as strings; note that an *active*
-        instrumentation is host-bound and refused by the fabric client.
-        """
-        return {
-            "trace_jsonl": str(self.trace_jsonl) if self.trace_jsonl else None,
-            "trace_konata": str(self.trace_konata) if self.trace_konata else None,
-            "trace_buffer": self.trace_buffer,
-            "profile": self.profile,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "Instrumentation":
-        return cls(
-            trace_jsonl=payload.get("trace_jsonl"),
-            trace_konata=payload.get("trace_konata"),
-            trace_buffer=payload.get("trace_buffer", 4096),
-            profile=payload.get("profile", False),
-        )
-
 
 @dataclass(frozen=True)
-class RunMetrics:
+class RunMetrics(Codec):
     """Results of one simulation run."""
 
     workload: str
@@ -157,30 +144,6 @@ class RunMetrics:
         base = baseline.cycles / baseline.instructions
         return own / base
 
-    def to_dict(self) -> dict[str, object]:
-        """JSON-ready representation (inverse of :meth:`from_dict`)."""
-        return {
-            "workload": self.workload,
-            "config": self.config,
-            "attack_model": self.attack_model.value,
-            "cycles": self.cycles,
-            "instructions": self.instructions,
-            "stats": dict(self.stats),
-            "termination": self.termination,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "RunMetrics":
-        return cls(
-            workload=payload["workload"],
-            config=payload["config"],
-            attack_model=AttackModel(payload["attack_model"]),
-            cycles=int(payload["cycles"]),
-            instructions=int(payload["instructions"]),
-            stats=dict(payload["stats"]),
-            termination=payload.get("termination", "halted"),
-        )
-
     @property
     def squashes(self) -> float:
         """SDO-induced squashes (Figure 8's x-axis): Obl-Ld fails + Obl-FP
@@ -204,11 +167,13 @@ class RunMetrics:
 
 
 @dataclass(frozen=True)
-class RunRequest:
+class RunRequest(Codec):
     """Everything needed to simulate one (workload, config, model) cell.
 
     Frozen: a request is a value.  Two equal requests produce equal metrics
     (simulation is deterministic), which is what the result cache keys on.
+    Its ``to_dict`` form is what travels to the fabric scheduler: everything
+    a remote worker needs to reproduce the cell bit-identically.
     """
 
     workload: Workload
@@ -226,51 +191,9 @@ class RunRequest:
     #: abort a wedged run, never change the metrics of one that completes.
     hang_window: int | None = None
 
-    def to_dict(self) -> dict[str, object]:
-        """JSON-ready wire form of the request (inverse of :meth:`from_dict`).
-
-        This is what travels to the fabric scheduler: the whole workload
-        (program + warm set), the Table II config, the machine, and the run
-        limits — everything a remote worker needs to reproduce this cell
-        bit-identically, and exactly the material the content-addressed
-        cache key hashes.
-        """
-        return {
-            "workload": self.workload.to_dict(),
-            "config": self.config.to_dict(),
-            "attack_model": self.attack_model.value,
-            "machine": self.machine.to_dict(),
-            "check_golden": self.check_golden,
-            "max_instructions": self.max_instructions,
-            "instrumentation": (
-                self.instrumentation.to_dict() if self.instrumentation else None
-            ),
-            "hang_window": self.hang_window,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "RunRequest":
-        instrumentation = payload.get("instrumentation")
-        return cls(
-            workload=Workload.from_dict(payload["workload"]),
-            config=EvaluatedConfig.from_dict(payload["config"]),
-            attack_model=AttackModel(payload["attack_model"]),
-            machine=MachineConfig.from_dict(payload["machine"]),
-            check_golden=payload.get("check_golden", True),
-            max_instructions=payload.get(
-                "max_instructions", DEFAULT_MAX_INSTRUCTIONS
-            ),
-            instrumentation=(
-                Instrumentation.from_dict(instrumentation)
-                if instrumentation
-                else None
-            ),
-            hang_window=payload.get("hang_window"),
-        )
-
 
 @dataclass(frozen=True)
-class RunFailure:
+class RunFailure(Codec):
     """A run that did not produce metrics.
 
     The engine converts worker exceptions into these so one bad cell cannot
@@ -296,32 +219,6 @@ class RunFailure:
         return (
             f"{self.workload}/{self.config} ({self.attack_model.value}) "
             f"[{self.kind}{tries}]: {self.error_type}: {self.message}"
-        )
-
-    def to_dict(self) -> dict[str, object]:
-        """JSON-ready representation (inverse of :meth:`from_dict`)."""
-        return {
-            "workload": self.workload,
-            "config": self.config,
-            "attack_model": self.attack_model.value,
-            "error_type": self.error_type,
-            "message": self.message,
-            "traceback": self.traceback,
-            "kind": self.kind,
-            "attempts": self.attempts,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "RunFailure":
-        return cls(
-            workload=payload["workload"],
-            config=payload["config"],
-            attack_model=AttackModel(payload["attack_model"]),
-            error_type=payload["error_type"],
-            message=payload["message"],
-            traceback=payload.get("traceback", ""),
-            kind=payload.get("kind", FAILURE_CRASH),
-            attempts=int(payload.get("attempts", 1)),
         )
 
 
@@ -723,22 +620,23 @@ class Session:
         return self.run_many(requests, strict=strict)
 
 
-def _rebrand(metrics: RunMetrics, request: RunRequest) -> RunMetrics:
-    """Stamp a cached result with the request's identity fields.
+def _rebrand(outcome: RunOutcome, request: RunRequest) -> RunOutcome:
+    """Stamp a stored outcome with the request's identity fields.
 
-    The cache is content-addressed on the *semantic* inputs (program, warm
-    set, configs…), so a renamed but otherwise identical workload hits the
-    same entry; the name on the returned metrics must come from the request,
-    not from whoever populated the cache.
+    The cache, the journal and the fabric's artifact store are all
+    content-addressed on the *semantic* inputs (program, warm set,
+    configs…), so a renamed but otherwise identical workload hits the same
+    entry; the names on the returned metrics or failure must come from the
+    request, not from whoever stored it.
     """
     if (
-        metrics.workload == request.workload.name
-        and metrics.config == request.config.name
-        and metrics.attack_model is request.attack_model
+        outcome.workload == request.workload.name
+        and outcome.config == request.config.name
+        and outcome.attack_model is request.attack_model
     ):
-        return metrics
+        return outcome
     return replace(
-        metrics,
+        outcome,
         workload=request.workload.name,
         config=request.config.name,
         attack_model=request.attack_model,

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.common.codec import Codec
 from repro.common.config import (
     AttackModel,
     PredictorKind,
@@ -43,7 +44,7 @@ from repro.stt.protection import SttProtection
 
 
 @dataclass(frozen=True)
-class EvaluatedConfig:
+class EvaluatedConfig(Codec):
     """One Table II row."""
 
     name: str
@@ -60,26 +61,6 @@ class EvaluatedConfig:
             fp_transmitters=self.fp_transmitters,
         )
 
-    def to_dict(self) -> dict[str, object]:
-        """JSON-ready representation (inverse of :meth:`from_dict`)."""
-        return {
-            "name": self.name,
-            "kind": self.kind.value,
-            "predictor": self.predictor.value if self.predictor else None,
-            "fp_transmitters": self.fp_transmitters,
-            "description": self.description,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "EvaluatedConfig":
-        predictor = payload.get("predictor")
-        return cls(
-            name=payload["name"],
-            kind=ProtectionKind(payload["kind"]),
-            predictor=PredictorKind(predictor) if predictor else None,
-            fp_transmitters=payload.get("fp_transmitters", False),
-            description=payload.get("description", ""),
-        )
 
 
 EVALUATED_CONFIGS: tuple[EvaluatedConfig, ...] = (

@@ -30,7 +30,6 @@ reliability/go-faster knobs.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import heapq
 import multiprocessing
@@ -44,6 +43,7 @@ from dataclasses import dataclass
 from queue import Empty
 from typing import TYPE_CHECKING, Iterable, Sequence
 
+from repro.common.codec import Codec
 from repro.pipeline.core import SimulationHang
 from repro.sim.api import (
     FAILURE_BUDGET,
@@ -143,7 +143,7 @@ def _pool_context():
 
 
 @dataclass(frozen=True)
-class RetryPolicy:
+class RetryPolicy(Codec):
     """When and how failed cells are re-executed.
 
     ``max_retries`` extra attempts are made for failures whose ``kind`` is
@@ -168,33 +168,6 @@ class RetryPolicy:
         """May a cell that just failed its ``attempt``-th execution with
         ``kind`` be tried again?"""
         return kind in self.retry_kinds and attempt <= self.max_retries
-
-    def to_dict(self) -> dict[str, object]:
-        """JSON-ready representation (inverse of :meth:`from_dict`) — the
-        policy travels to the fabric scheduler, which drives retries
-        server-side."""
-        return {
-            "max_retries": self.max_retries,
-            "backoff_base": self.backoff_base,
-            "backoff_factor": self.backoff_factor,
-            "backoff_max": self.backoff_max,
-            "jitter": self.jitter,
-            "retry_kinds": sorted(self.retry_kinds),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "RetryPolicy":
-        kinds = payload.get("retry_kinds")
-        return cls(
-            max_retries=payload.get("max_retries", 0),
-            backoff_base=payload.get("backoff_base", 0.5),
-            backoff_factor=payload.get("backoff_factor", 2.0),
-            backoff_max=payload.get("backoff_max", 30.0),
-            jitter=payload.get("jitter", 0.1),
-            retry_kinds=(
-                frozenset(kinds) if kinds is not None else TRANSIENT_FAILURE_KINDS
-            ),
-        )
 
     def delay(self, key: str, attempt: int) -> float:
         """Backoff before the ``attempt``-th execution (attempt >= 2),
@@ -477,7 +450,7 @@ class SweepEngine:
         if self.journal is not None:
             replayed = self.journal.get(self._key(index, request))
             if replayed is not None:
-                outcome = _restamp(replayed, request)
+                outcome = _rebrand(replayed, request)
                 results[index] = outcome
                 if isinstance(outcome, RunFailure):
                     self._emit(
@@ -781,21 +754,3 @@ class SweepEngine:
         )
         return True, None
 
-
-def _restamp(outcome: RunOutcome, request: RunRequest) -> RunOutcome:
-    """Stamp a journal-replayed outcome with the request's identity fields
-    (the journal is content-addressed, like the cache)."""
-    if isinstance(outcome, RunMetrics):
-        return _rebrand(outcome, request)
-    if (
-        outcome.workload == request.workload.name
-        and outcome.config == request.config.name
-        and outcome.attack_model is request.attack_model
-    ):
-        return outcome
-    return dataclasses.replace(
-        outcome,
-        workload=request.workload.name,
-        config=request.config.name,
-        attack_model=request.attack_model,
-    )

@@ -12,13 +12,13 @@ JSONL event log from the same stream.
 
 from __future__ import annotations
 
-import dataclasses
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Protocol, TextIO, runtime_checkable
 
+from repro.common.codec import Codec
 from repro.common.durable import JsonlLog
 
 #: Version stamp for serialized events.  Bump only on *incompatible*
@@ -48,7 +48,7 @@ TERMINAL_EVENTS = frozenset({CACHE_HIT, FINISHED, FAILED, CANCELLED})
 
 
 @dataclass(frozen=True)
-class RunEvent:
+class RunEvent(Codec):
     """One lifecycle event of one (workload, config, attack model) run.
 
     ``index`` is the request's position in its batch — results keep batch
@@ -77,9 +77,7 @@ class RunEvent:
         ``schema`` stamp (:data:`EVENT_SCHEMA_VERSION`) so wire consumers
         can detect incompatible producers."""
         payload: dict[str, object] = {"schema": EVENT_SCHEMA_VERSION}
-        payload.update(
-            {k: v for k, v in asdict(self).items() if v is not None}
-        )
+        payload.update((k, v) for k, v in super().to_dict().items() if v is not None)
         return payload
 
     @classmethod
@@ -98,8 +96,7 @@ class RunEvent:
                 f"event schema v{schema} is newer than this reader "
                 f"(v{EVENT_SCHEMA_VERSION}); upgrade the consumer"
             )
-        fields = {f.name for f in dataclasses.fields(cls)}
-        return cls(**{k: v for k, v in payload.items() if k in fields})
+        return super().from_dict(payload)
 
 
 #: Anything callable with a single event is an observer.

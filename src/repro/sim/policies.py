@@ -11,10 +11,10 @@ arguments (``jobs``, ``timeout``, ``retries``, ``cache_dir``, ``resume``,
 * :class:`CachePolicy` — whether and where results are cached on disk.
 * :class:`JournalPolicy` — the resumable sweep journal.
 
-Each policy is a frozen value with ``to_dict``/``from_dict``, so the exact
-same object that configures a local session can travel over the fabric
-wire: a scheduler receives the submitting session's :class:`ExecutionPolicy`
-and drives server-side retries with the identical
+Each policy is a frozen :class:`~repro.common.codec.Codec` value, so the
+exact same object that configures a local session can travel over the
+fabric wire: a scheduler receives the submitting session's
+:class:`ExecutionPolicy` and drives server-side retries with the identical
 :class:`~repro.sim.engine.RetryPolicy` the local engine would have used.
 
 >>> from repro.sim.api import Session                       # doctest: +SKIP
@@ -28,12 +28,14 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from repro.common.codec import Codec
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import RetryPolicy
 
 
 @dataclass(frozen=True)
-class ExecutionPolicy:
+class ExecutionPolicy(Codec):
     """How sweep cells are executed.
 
     ``jobs``
@@ -119,40 +121,17 @@ class ExecutionPolicy:
         """The normalized retry policy (``retries`` is always one post-init)."""
         return self.retries  # type: ignore[return-value]
 
-    def to_dict(self) -> dict[str, object]:
-        """JSON-ready representation (inverse of :meth:`from_dict`)."""
-        return {
-            "jobs": self.jobs,
-            "timeout": self.timeout,
-            "retries": self.retry_policy.to_dict(),
-            "hang_window": self.hang_window,
-            "fabric": self.fabric,
-            "fail_on_unhalted": self.fail_on_unhalted,
-            "replay": self.replay,
-            "transport": (
-                None if self.transport is None else self.transport.to_dict()
-            ),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ExecutionPolicy":
+    @staticmethod
+    def _codec_namespace() -> dict[str, object]:
+        # ``RetryPolicy`` is a typing-only import here: the engine imports
+        # repro.sim.api, which imports this module.
         from repro.sim.engine import RetryPolicy
 
-        retries = payload.get("retries")
-        return cls(
-            jobs=payload.get("jobs", 1),
-            timeout=payload.get("timeout"),
-            retries=RetryPolicy.from_dict(retries) if retries is not None else None,
-            hang_window=payload.get("hang_window"),
-            fabric=payload.get("fabric"),
-            fail_on_unhalted=payload.get("fail_on_unhalted", False),
-            replay=payload.get("replay", False),
-            transport=payload.get("transport"),
-        )
+        return {"RetryPolicy": RetryPolicy}
 
 
 @dataclass(frozen=True)
-class CachePolicy:
+class CachePolicy(Codec):
     """Whether and where run results are cached on disk.
 
     ``enabled=False`` disables the content-addressed result cache entirely;
@@ -175,20 +154,9 @@ class CachePolicy:
 
         return ResultCache(self.cache_dir or ".repro-cache")
 
-    def to_dict(self) -> dict[str, object]:
-        """JSON-ready representation (inverse of :meth:`from_dict`)."""
-        return {"enabled": self.enabled, "cache_dir": self.cache_dir}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "CachePolicy":
-        return cls(
-            enabled=payload.get("enabled", True),
-            cache_dir=payload.get("cache_dir"),
-        )
-
 
 @dataclass(frozen=True)
-class JournalPolicy:
+class JournalPolicy(Codec):
     """The resumable sweep journal.
 
     ``path`` names the JSONL journal file (``None`` → no journal);
@@ -216,17 +184,6 @@ class JournalPolicy:
         if self.resume:
             journal.load()
         return journal
-
-    def to_dict(self) -> dict[str, object]:
-        """JSON-ready representation (inverse of :meth:`from_dict`)."""
-        return {"path": self.path, "resume": self.resume}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "JournalPolicy":
-        return cls(
-            path=payload.get("path"),
-            resume=payload.get("resume", False),
-        )
 
 
 #: Every policy class, in wire order — the lint wire-schema checker pins

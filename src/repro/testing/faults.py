@@ -42,6 +42,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
+from repro.common.codec import Codec
 from repro.sim.api import RunMetrics, RunRequest
 
 #: The injectable fault kinds.
@@ -57,7 +58,7 @@ class InjectedCrash(RuntimeError):
 
 
 @dataclass(frozen=True)
-class FaultSpec:
+class FaultSpec(Codec):
     """One cell's fault behaviour.
 
     ``kind``
@@ -84,16 +85,6 @@ class FaultSpec:
                 f"{sorted(FAULT_KINDS)}"
             )
 
-    def to_dict(self) -> dict[str, object]:
-        return {"kind": self.kind, "times": self.times, "seconds": self.seconds}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "FaultSpec":
-        return cls(
-            kind=payload["kind"],
-            times=int(payload.get("times", -1)),
-            seconds=float(payload.get("seconds", 3600.0)),
-        )
 
 
 class FaultPlan:

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.common.codec import Codec
 from repro.isa.program import Program
 
 
 @dataclass(frozen=True)
-class Workload:
+class Workload(Codec):
     """A named benchmark kernel.
 
     ``warm_addresses`` are pre-loaded into the memory hierarchy before
@@ -29,23 +30,3 @@ class Workload:
     @property
     def static_instructions(self) -> int:
         return len(self.program)
-
-    def to_dict(self) -> dict[str, object]:
-        """JSON-ready representation (inverse of :meth:`from_dict`)."""
-        return {
-            "name": self.name,
-            "program": self.program.to_dict(),
-            "warm_addresses": list(self.warm_addresses),
-            "description": self.description,
-            "max_cycles": self.max_cycles,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "Workload":
-        return cls(
-            name=payload["name"],
-            program=Program.from_dict(payload["program"]),
-            warm_addresses=tuple(payload.get("warm_addresses", ())),
-            description=payload.get("description", ""),
-            max_cycles=payload.get("max_cycles", 2_000_000),
-        )

@@ -384,6 +384,32 @@ class TestResume:
         assert second[1].kind == first[1].kind == FAILURE_CRASH
         assert second[0].cycles == first[0].cycles
 
+    def test_resumed_failure_takes_the_renamed_workloads_name(
+        self, tmp_path, monkeypatch
+    ):
+        """The journal is content-addressed, so a renamed but identical
+        workload resumes the recorded failure — under its own name."""
+        plan = FaultPlan({"bad": FaultSpec("crash")}, state_dir=tmp_path / "f")
+        journal_path = tmp_path / "sweep.journal"
+        session = make_session(journal=journal_path)
+        with inject(plan):
+            [first] = session.run_many([session.request(cell("bad"), "Unsafe")])
+        session.close()
+        assert isinstance(first, RunFailure) and first.workload == "bad"
+
+        import repro.sim.engine as engine_mod
+
+        def must_not_run(_request):
+            raise AssertionError("resume must not re-execute journalled cells")
+
+        monkeypatch.setattr(engine_mod, "execute", must_not_run)
+        resumed = make_session(journal=journal_path, resume=True)
+        [second] = resumed.run_many([resumed.request(cell("renamed"), "Unsafe")])
+        resumed.close()
+        assert isinstance(second, RunFailure)
+        assert second.workload == "renamed"
+        assert (second.error_type, second.kind) == (first.error_type, FAILURE_CRASH)
+
     def test_resume_without_journal_rejected(self):
         with pytest.raises(ValueError):
             JournalPolicy(resume=True)

@@ -11,6 +11,7 @@ here before it can desync a scheduler from its workers.
 
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -66,6 +67,19 @@ def random_workload(rng):
     )
 
 
+def random_instrumentation(rng):
+    draw = rng.random()
+    if draw < 0.3:
+        return Instrumentation(profile=True)
+    if draw < 0.45:
+        # A Path must come back equal, not as the str it travels as.
+        return Instrumentation(
+            trace_jsonl=Path(f"trace-{rng.randrange(1 << 16):04x}.jsonl"),
+            trace_buffer=rng.choice([256, 4096]),
+        )
+    return None
+
+
 def random_request(rng):
     return RunRequest(
         workload=random_workload(rng),
@@ -74,9 +88,7 @@ def random_request(rng):
         machine=MachineConfig(),
         check_golden=rng.random() < 0.5,
         max_instructions=rng.randrange(1_000, 1_000_000),
-        instrumentation=(
-            Instrumentation(profile=True) if rng.random() < 0.3 else None
-        ),
+        instrumentation=random_instrumentation(rng),
         hang_window=rng.choice([None, 10_000, 250_000]),
     )
 
