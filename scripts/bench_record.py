@@ -8,7 +8,7 @@ This script keeps the numbers: give it the records of the parent commit's
 runs and of the change's runs, and it writes one JSON file holding, per
 workload, the median and quartiles of every end-to-end metric that
 ``BENCHMARK.json`` declares on each side, how many of the run pairs the
-change won, and the seed-1 traced per-layer core metrics.
+change won, and the seed-1 traced per-layer metrics in ``TRACED_METRICS``.
 
 Usage (copy each record aside after its run, since the next run of the
 same workload overwrites it; pairs are matched by their order on the
@@ -34,8 +34,19 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BENCHMARK = REPO_ROOT / "BENCHMARK.json"
 
-#: Per-layer metrics copied from the seed-1 traced run of each side.
-TRACED_METRICS = ("core.us_per_step", "core.step_self_s", "core.steps")
+#: Per-layer metrics copied from the seed-1 traced run of each side: the
+#: core's per-step cost, a cell's fixed cost (machine build, warm-up, pool
+#: settling), and the simulated work, which must not move.
+TRACED_METRICS = (
+    "core.us_per_step",
+    "core.step_self_s",
+    "core.steps",
+    "execute.build_s",
+    "memory.warm_s",
+    "engine.settle_lag_s",
+    "memory.load_calls",
+    "protection.hook_calls",
+)
 TRACED_SEED = 1
 
 

@@ -658,12 +658,26 @@ class MemoryHierarchy:
         Fills the cache arrays directly, without going through the timing
         model — warm-up happens "before time zero", so it must not leave
         bank/port/MSHR residue that would skew the measured run.
+
+        Each array's state depends only on the order of its own fills, so
+        the arrays are filled one after another (each in one batched pass,
+        L3 lines bucketed per slice in warm-up order) and the TLB last;
+        the result equals filling L1, L2 and L3 and touching the TLB per
+        address.
         """
+        addrs = list(addrs)
+        line_size = self.config.line_size
+        lines = [addr // line_size for addr in addrs]
+        self.l1.array.fill_many(lines, dirty=write)
+        self.l2.array.fill_many(lines)
+        num_slices = self.config.l3.slices
+        per_slice: list[list[int]] = [[] for _ in range(num_slices)]
+        for line in lines:
+            per_slice[slice_of_line(line, num_slices)].append(line)
+        for slice_level, slice_lines in zip(self.l3_slices, per_slice):
+            slice_level.array.fill_many(slice_lines)
+        access = self.tlb.access
         for addr in addrs:
-            line = self.line_of(addr)
-            self.l1.array.fill(line, dirty=write)
-            self.l2.array.fill(line, dirty=False)
-            self.l3_slices[self.slice_of(line)].array.fill(line, dirty=False)
-            self.tlb.access(addr)
+            access(addr)
         self.tlb.hits = 0
         self.tlb.misses = 0

@@ -17,7 +17,6 @@ Two properties matter to SDO:
 from __future__ import annotations
 
 
-
 class Mesh:
     """An ``nx x ny`` mesh with X-Y routing."""
 
@@ -61,13 +60,24 @@ def slice_of_line(line: int, num_slices: int) -> int:
     """The design-time hash mapping a line to its L3 slice.
 
     Commercial hashes XOR-fold the address; we do the same over the line
-    number so that consecutive lines spread across slices.
+    number so that consecutive lines spread across slices.  A power-of-two
+    slice count folds bit fields (mask and shift); any other count folds
+    base-``num_slices`` digits.
     """
-    value = line
+    if num_slices & (num_slices - 1) == 0 and num_slices > 1:
+        mask = num_slices - 1
+        shift = mask.bit_length()
+        folded = 0
+        while line:
+            folded ^= line & mask
+            line >>= shift
+        return folded
+    if num_slices == 1:
+        return 0
     folded = 0
-    while value:
-        folded ^= value & (num_slices - 1) if num_slices & (num_slices - 1) == 0 else value % num_slices
-        value //= max(2, num_slices)
+    while line:
+        folded ^= line % num_slices
+        line //= num_slices
     return folded % num_slices
 
 

@@ -299,6 +299,10 @@ def execute(request: RunRequest, *, golden=None) -> RunMetrics:
                 hang_window=request.hang_window,
             )
     finally:
+        # Break the core <-> scheme cycle that ``attach`` made, so the
+        # machine is freed by refcount when this call returns instead of
+        # waiting for the cyclic collector.
+        protection.core = None
         if tracer is not None:
             with timed("finalize"):
                 tracer.close()

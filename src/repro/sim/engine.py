@@ -119,8 +119,14 @@ def _execute_indexed(
     return index, metrics, None, time.perf_counter() - started
 
 
-def _worker_main(worker_id: int, inbox, outbox, trace_dir: str | None = None) -> None:
-    """Worker-process loop: execute tasks until told to stop (``None``)."""
+def _worker_main(
+    worker_id: int, inbox, outbox, requests, trace_dir: str | None = None
+) -> None:
+    """Worker-process loop: execute cells until told to stop (``None``).
+
+    ``requests`` is the sweep's whole request list, handed over once when
+    the process starts; the inbox carries only cell indices into it.
+    """
     # Workers must not react to the terminal's Ctrl-C themselves: the
     # parent decides whether to drain or kill them.
     try:
@@ -128,15 +134,22 @@ def _worker_main(worker_id: int, inbox, outbox, trace_dir: str | None = None) ->
     except (ValueError, OSError):  # pragma: no cover - non-main thread
         pass
     while True:
-        task = inbox.get()
-        if task is None:
+        index = inbox.get()
+        if index is None:
             return
-        index, request = task
-        outbox.put((worker_id, *_execute_indexed(index, request, trace_dir)))
+        outbox.put((worker_id, *_execute_indexed(index, requests[index], trace_dir)))
 
 
 def _pool_context():
-    """Prefer fork where available: cheap start-up, workloads shared by COW."""
+    """Prefer fork where available: cheap start-up, and no serialisation.
+
+    Every worker receives the sweep's request list once, as a process
+    argument, and then takes cells by index.  Under ``fork`` the child
+    inherits the parent's request objects outright — nothing is pickled,
+    and the program digests the parent computed for its cache and trace
+    keys come along; under ``spawn`` the list is pickled once per worker,
+    not once per cell.
+    """
     if "fork" in multiprocessing.get_all_start_methods():
         return multiprocessing.get_context("fork")
     return multiprocessing.get_context()
@@ -188,12 +201,14 @@ class _WorkerSlot:
 
     __slots__ = ("worker_id", "process", "inbox", "busy_index", "started_at")
 
-    def __init__(self, worker_id: int, ctx, outbox, trace_dir: str | None = None) -> None:
+    def __init__(
+        self, worker_id: int, ctx, outbox, requests, trace_dir: str | None = None
+    ) -> None:
         self.worker_id = worker_id
         self.inbox = ctx.Queue(1)
         self.process = ctx.Process(
             target=_worker_main,
-            args=(worker_id, self.inbox, outbox, trace_dir),
+            args=(worker_id, self.inbox, outbox, requests, trace_dir),
             daemon=True,
         )
         self.process.start()
@@ -526,7 +541,8 @@ class SweepEngine:
         workers = min(self.jobs, len(pending))
         outbox = ctx.Queue()
         slots = [
-            _WorkerSlot(i, ctx, outbox, self._trace_dir()) for i in range(workers)
+            _WorkerSlot(i, ctx, outbox, requests, self._trace_dir())
+            for i in range(workers)
         ]
         ready: deque[int] = deque(pending)
         delayed: list[tuple[float, int]] = []  # (ready_at, index) heap
@@ -566,7 +582,7 @@ class SweepEngine:
                     attempt = attempts[index]
                     slot.busy_index = index
                     slot.started_at = time.monotonic()
-                    slot.inbox.put((index, requests[index]))
+                    slot.inbox.put(index)
                     self._emit(
                         STARTED, index, requests[index],
                         attempt=attempt if attempt > 1 else None,
@@ -632,7 +648,7 @@ class SweepEngine:
             slot.busy_index = None
             slot.kill()
             slots[position] = _WorkerSlot(
-                slot.worker_id, ctx, outbox, self._trace_dir()
+                slot.worker_id, ctx, outbox, requests, self._trace_dir()
             )
             if timed_out:
                 self._emit(

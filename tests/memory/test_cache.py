@@ -116,7 +116,8 @@ class TestInvariants:
             cache.access(line, write=write)
         assert cache.occupancy() <= 8
         for target_set in cache._sets:
-            assert len(target_set) <= 2
+            if target_set is not None:  # sets are allocated on first fill
+                assert len(target_set) <= 2
 
     @given(st.lists(st.integers(0, 31), min_size=1, max_size=200))
     def test_most_recent_access_is_always_resident(self, lines):

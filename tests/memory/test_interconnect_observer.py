@@ -1,7 +1,7 @@
 """Tests for the mesh interconnect and the resource observer."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from repro.memory.interconnect import Mesh, slice_node, slice_of_line
 from repro.memory.observer import ResourceEvent, ResourceObserver
@@ -44,7 +44,33 @@ class TestMesh:
         assert mesh.hops(a, b) == mesh.hops(b, a)
 
 
+def reference_slice_of_line(line: int, num_slices: int) -> int:
+    """The slice hash as first written: one XOR-folding loop for every
+    slice count, re-testing for a power of two on each step."""
+    value = line
+    folded = 0
+    while value:
+        folded ^= (
+            value & (num_slices - 1)
+            if num_slices & (num_slices - 1) == 0
+            else value % num_slices
+        )
+        value //= max(2, num_slices)
+    return folded % num_slices
+
+
 class TestSliceHash:
+    @seed(20)
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(st.integers(0, 4096), st.integers(0, 1 << 48)),
+        st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 12, 16, 32, 64]),
+    )
+    def test_matches_reference_loop(self, line, num_slices):
+        assert slice_of_line(line, num_slices) == reference_slice_of_line(
+            line, num_slices
+        )
+
     @given(st.integers(0, 1 << 40))
     def test_slice_in_range(self, line):
         assert 0 <= slice_of_line(line, 8) < 8

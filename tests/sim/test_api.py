@@ -1,11 +1,15 @@
 """Tests for the Session/RunRequest API and the removed legacy keywords."""
 
 import dataclasses
+import gc
 from pathlib import Path
 
 import pytest
 
 from repro.common.config import AttackModel, MachineConfig
+from repro.memory.cache import CacheArray
+from repro.memory.hierarchy import MemoryHierarchy
+from repro.pipeline.core import Core
 from repro.sim.api import (
     DEFAULT_MAX_INSTRUCTIONS,
     RunMetrics,
@@ -41,6 +45,30 @@ class TestRunRequest:
 
 
 class TestExecute:
+    def test_finished_machine_is_freed_by_refcount(self):
+        """``execute`` leaves no reference cycle through the machine: with
+        the cyclic collector off, whatever it would still have to collect
+        holds no core, hierarchy or cache array."""
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            for name in ("STT{ld+fp}", "Hybrid"):
+                execute(RunRequest(WORKLOAD, config_by_name(name)))
+            gc.collect()
+            leaked = [
+                type(obj).__name__
+                for obj in gc.garbage
+                if isinstance(obj, (Core, MemoryHierarchy, CacheArray))
+            ]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            if was_enabled:
+                gc.enable()
+        assert leaked == []
+
     def test_is_deterministic(self):
         request = RunRequest(WORKLOAD, config_by_name("Hybrid"))
         assert execute(request) == execute(request)

@@ -34,6 +34,35 @@ class TestDeterminism:
         requests = make_requests(serial)
         assert parallel.run_many(requests) == serial.run_many(requests)
 
+    def test_spawn_workers_equal_serial(self, monkeypatch):
+        """Workers started with ``spawn`` receive the requests pickled once
+        per worker rather than inherited; cells taken by index must still
+        give exactly the serial results."""
+        import multiprocessing
+
+        import repro.sim.engine as engine_mod
+
+        contexts = []
+
+        def spawn_context():
+            contexts.append(multiprocessing.get_context("spawn"))
+            return contexts[-1]
+
+        monkeypatch.setattr(engine_mod, "_pool_context", spawn_context)
+        other = make_indirect_stream("engine_other", table_words=256, iterations=60, seed=5)
+        serial = Session(cache=NO_CACHE, execution=ExecutionPolicy(jobs=1))
+        parallel = Session(cache=NO_CACHE, execution=ExecutionPolicy(jobs=2))
+        requests = [
+            serial.request(WORKLOAD, "Unsafe"),
+            serial.request(WORKLOAD, "Hybrid"),
+            serial.request(other, "STT{ld}"),
+            serial.request(other, "Unsafe"),
+        ]
+        expected = serial.run_many(requests)
+        assert not contexts, "a serial sweep starts no workers"
+        assert parallel.run_many(requests) == expected
+        assert len(contexts) == 1
+
     def test_sweep_matches_legacy_iteration_order(self):
         session = Session(cache=NO_CACHE)
         results = session.sweep(

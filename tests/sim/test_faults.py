@@ -232,6 +232,28 @@ class TestTimeouts:
         assert outcome.attempts == 2
         assert [e.kind for e in events if e.kind == "timed_out"] == ["timed_out"] * 2
 
+    def test_replaced_worker_resolves_the_retried_cell(self, tmp_path):
+        """A worker killed on timeout is replaced by one holding the same
+        requests, so the retried cell (and the ones after it) resolve by
+        index to their own results."""
+        plan = FaultPlan(
+            {"oncestuck": FaultSpec("hang", times=1)}, state_dir=tmp_path
+        )
+        events = []
+        session = make_session(
+            jobs=2, timeout=1.0, retries=FAST_RETRY, observers=[events.append]
+        )
+        requests = [
+            session.request(cell("ok"), "Unsafe"),
+            session.request(cell("oncestuck", seed=2), "Hybrid"),
+            session.request(cell("after", seed=3), "STT{ld}"),
+        ]
+        with inject(plan):
+            outcomes = session.run_many(requests)
+        assert [e.index for e in events if e.kind == "timed_out"] == [1]
+        assert outcomes == make_session(jobs=1).run_many(requests)
+        assert [o.workload for o in outcomes] == ["ok", "oncestuck", "after"]
+
     def test_flaky_hang_recovers_after_timeout_retry(self, tmp_path):
         """A cell that hangs once and then behaves models a transient host
         problem — the timeout+retry pair must rescue it."""
