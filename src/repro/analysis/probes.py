@@ -81,8 +81,10 @@ class MlpProbe(CoreObserver):
         core.attach_observer(self)
 
     def on_issue(self, uop: DynInst, cycle: int) -> None:
-        level = uop.actual_level
-        if uop.is_load and level is not None and level > MemLevel.L1:
+        if not uop.is_load:
+            return
+        level = uop.tx.actual_level
+        if level is not None and level > MemLevel.L1:
             self.in_flight[uop.seq] = cycle
 
     def on_complete(self, uop: DynInst, cycle: int) -> None:

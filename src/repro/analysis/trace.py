@@ -149,11 +149,13 @@ class CycleTracer(CoreObserver):
             return
         record.issue = cycle  # a re-issued uop keeps its final issue cycle
         record.delayed_cycles = uop.delayed_cycles
-        if uop.predicted_level is not None:
-            record.oblivious = True
-            record.predicted_level = uop.predicted_level.name
-        if uop.fp_predicted_fast:
-            record.oblivious = True
+        tx = uop.tx
+        if tx is not None:
+            if tx.predicted_level is not None:
+                record.oblivious = True
+                record.predicted_level = tx.predicted_level.name
+            if tx.fp_predicted_fast:
+                record.oblivious = True
 
     def on_complete(self, uop: "DynInst", cycle: int) -> None:
         record = self._live.get(uop.seq)

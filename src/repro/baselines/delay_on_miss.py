@@ -21,7 +21,7 @@ the forward-interference harness can probe.
 from __future__ import annotations
 
 from repro.common.config import AttackModel
-from repro.pipeline.protection import IssueDecision, LoadIssueAction
+from repro.pipeline.protection import ISSUE_DELAY, ISSUE_NORMAL, IssueDecision
 from repro.pipeline.uop import DynInst
 from repro.stt.protection import SttProtection
 
@@ -37,7 +37,7 @@ class DelayOnMissProtection(SttProtection):
 
     def load_issue_decision(self, uop: DynInst) -> IssueDecision:
         if self.is_root_safe(uop.seq):
-            return IssueDecision(LoadIssueAction.NORMAL)
+            return ISSUE_NORMAL
         if self.core.hierarchy.line_in_l1(uop.addr):
             # A speculative L1 hit proceeds through the normal path: the
             # access stays inside the private L1 (no fills below it), which
@@ -47,8 +47,8 @@ class DelayOnMissProtection(SttProtection):
             # per-retry delay side is counted by the core's
             # ``protection.decisions.load_delay`` convention instead.)
             self.stats.bump("dom_hits_allowed")
-            return IssueDecision(LoadIssueAction.NORMAL)
-        return IssueDecision(LoadIssueAction.DELAY)
+            return ISSUE_NORMAL
+        return ISSUE_DELAY
 
     # --- implicit channels ------------------------------------------------ #
 

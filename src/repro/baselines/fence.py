@@ -18,7 +18,7 @@ so branches resolve normally and fast-forward stays safe.
 from __future__ import annotations
 
 from repro.common.config import AttackModel
-from repro.pipeline.protection import IssueDecision, LoadIssueAction
+from repro.pipeline.protection import ISSUE_DELAY, ISSUE_NORMAL, IssueDecision
 from repro.stt.protection import SttProtection
 
 
@@ -31,9 +31,9 @@ class FenceProtection(SttProtection):
 
     def load_issue_decision(self, uop) -> IssueDecision:
         if self.is_root_safe(uop.seq):
-            return IssueDecision(LoadIssueAction.NORMAL)
+            return ISSUE_NORMAL
         # Counted via the ``protection.decisions.load_delay`` convention.
-        return IssueDecision(LoadIssueAction.DELAY)
+        return ISSUE_DELAY
 
     def may_resolve_branch(self, uop) -> bool:
         # Branches resolve normally; only loads are gated.

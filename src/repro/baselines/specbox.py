@@ -24,7 +24,7 @@ opens its row buffer.  The forward-interference harness
 from __future__ import annotations
 
 from repro.common.config import AttackModel
-from repro.pipeline.protection import IssueDecision, LoadIssueAction
+from repro.pipeline.protection import ISSUE_BUFFERED, ISSUE_NORMAL, IssueDecision
 from repro.pipeline.uop import DynInst
 from repro.stt.protection import SttProtection
 
@@ -43,8 +43,8 @@ class SpecBoxProtection(SttProtection):
         # the youngest root that matters — if the load has reached its
         # visibility point, every older label has too.
         if self.is_root_safe(uop.seq):
-            return IssueDecision(LoadIssueAction.NORMAL)
-        return IssueDecision(LoadIssueAction.BUFFERED)
+            return ISSUE_NORMAL
+        return ISSUE_BUFFERED
 
     # --- implicit channels ------------------------------------------------ #
 
@@ -56,11 +56,11 @@ class SpecBoxProtection(SttProtection):
     # --- buffer lifecycle ------------------------------------------------- #
 
     def on_commit(self, uop: DynInst) -> None:
-        if uop.is_load and uop.spec_buffered:
+        if uop.is_load and uop.tx.spec_buffered:
             self.stats.bump("spec_commits")
             self.core.hierarchy.release_speculative(uop.addr, self.core.cycle)
 
     def on_squash(self, uop: DynInst) -> None:
-        if uop.is_load and uop.spec_buffered:
+        if uop.is_load and uop.tx.spec_buffered:
             self.stats.bump("spec_squashes")
             self.core.hierarchy.drop_speculative(uop.addr)

@@ -27,6 +27,9 @@ from collections import deque
 
 from repro.common.config import MemLevel, PredictorKind
 
+_L1 = MemLevel.L1
+_L2 = MemLevel.L2
+
 
 class LocationPredictor:
     """Interface: ``predict`` may not see anything tainted."""
@@ -78,7 +81,7 @@ class GreedyPredictor(LocationPredictor):
     def predict(self, pc: int, oracle_hint: MemLevel | None = None) -> MemLevel:
         history = self._history.get(pc)
         if not history:
-            return MemLevel.L1
+            return _L1
         return max(history)
 
     def update(self, pc: int, actual: MemLevel) -> None:
@@ -107,17 +110,19 @@ class LoopPredictor(LocationPredictor):
     def predict(self, pc: int, oracle_hint: MemLevel | None = None) -> MemLevel:
         state = self._state.get(pc)
         if state is None:
-            return MemLevel.L1
+            return _L1
         count, period, _, deep_level, confident = state
         if confident and period > 0 and count + 1 >= period:
             return deep_level
         if confident and period == 1:
             return deep_level
-        return MemLevel.L1
+        return _L1
 
     def update(self, pc: int, actual: MemLevel) -> None:
-        state = self._state.setdefault(pc, [0, 0, 0, MemLevel.L2, False])
-        if actual is MemLevel.L1:
+        state = self._state.get(pc)
+        if state is None:
+            state = self._state[pc] = [0, 0, 0, _L2, False]
+        if actual is _L1:
             state[0] += 1
             return
         interval = state[0] + 1

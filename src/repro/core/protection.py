@@ -19,9 +19,20 @@ from __future__ import annotations
 
 from repro.common.config import AttackModel, MemLevel
 from repro.core.predictors import LocationPredictor, PerfectPredictor
-from repro.pipeline.protection import FpIssueAction, IssueDecision, LoadIssueAction
+from repro.pipeline.protection import (
+    ISSUE_DELAY,
+    ISSUE_NORMAL,
+    FpIssueAction,
+    IssueDecision,
+    LoadIssueAction,
+)
 from repro.pipeline.uop import DynInst
 from repro.stt.protection import SttProtection
+
+_DRAM = MemLevel.DRAM
+_OBLIVIOUS = LoadIssueAction.OBLIVIOUS
+_FP_NORMAL = FpIssueAction.NORMAL
+_FP_PREDICT_FAST = FpIssueAction.PREDICT_FAST
 
 
 class SdoProtection(SttProtection):
@@ -44,28 +55,29 @@ class SdoProtection(SttProtection):
 
     def load_issue_decision(self, uop: DynInst) -> IssueDecision:
         if not self.sources_tainted(uop):
-            return IssueDecision(LoadIssueAction.NORMAL)
-        if uop.predicted_level is None:
+            return ISSUE_NORMAL
+        tx = uop.tx
+        if tx.predicted_level is None:
             self._predict_for(uop)
-        level = uop.predicted_level
-        if level is MemLevel.DRAM and not self.dram_do_variant:
+        level = tx.predicted_level
+        if level is _DRAM and not self.dram_do_variant:
             # Section VI-B2: predicting DRAM means reverting to STT's
             # default protection for this load — delay, don't squash.
-            return IssueDecision(LoadIssueAction.DELAY)
-        return IssueDecision(LoadIssueAction.OBLIVIOUS, predicted_level=level)
+            return ISSUE_DELAY
+        return IssueDecision(_OBLIVIOUS, predicted_level=level)
 
     def _predict_for(self, uop: DynInst) -> None:
         actual = self.core.hierarchy.residence_level(uop.addr)
         oracle_hint = actual if isinstance(self.predictor, PerfectPredictor) else None
         level = self.predictor.predict(uop.pc, oracle_hint=oracle_hint)
-        uop.predicted_level = level
+        uop.tx.predicted_level = level
         self.sdo_stats.bump("predictions")
         if level == actual:
             self.sdo_stats.bump("precise")
             self.sdo_stats.bump("accurate")
         elif level > actual:
             self.sdo_stats.bump("accurate")
-        if level is MemLevel.DRAM and not self.dram_do_variant:
+        if level is _DRAM and not self.dram_do_variant:
             self.sdo_stats.bump("dram_delays")
 
     def on_load_outcome(self, uop: DynInst, actual_level: MemLevel) -> None:
@@ -78,8 +90,8 @@ class SdoProtection(SttProtection):
 
     def fp_issue_decision(self, uop: DynInst) -> FpIssueAction:
         if self.fp_transmitters and self.sources_tainted(uop):
-            return FpIssueAction.PREDICT_FAST
-        return FpIssueAction.NORMAL
+            return _FP_PREDICT_FAST
+        return _FP_NORMAL
 
     # --- reporting ---------------------------------------------------------- #
 

@@ -29,14 +29,11 @@ class BimodalTable:
         self._mask = entries - 1
         self._counters = [1] * entries  # weakly not-taken
 
-    def _index(self, pc: int) -> int:
-        return pc & self._mask
-
     def predict(self, pc: int) -> bool:
-        return self._counters[self._index(pc)] >= 2
+        return self._counters[pc & self._mask] >= 2
 
     def update(self, pc: int, taken: bool) -> None:
-        index = self._index(pc)
+        index = pc & self._mask
         self._counters[index] = _saturate(self._counters[index], 1 if taken else -1)
 
 
@@ -104,12 +101,7 @@ class TournamentPredictor:
         taken = global_prediction if use_global else local_prediction
         self.history = ((snapshot << 1) | int(taken)) & self._history_mask
         self.predictions += 1
-        return BranchPrediction(
-            taken=taken,
-            history_snapshot=snapshot,
-            local_prediction=local_prediction,
-            global_prediction=global_prediction,
-        )
+        return BranchPrediction(taken, snapshot, local_prediction, global_prediction)
 
     def update(self, pc: int, prediction: BranchPrediction, taken: bool) -> None:
         """Train on the resolved outcome.

@@ -3,7 +3,10 @@
 The out-of-order timing model in ``repro.pipeline`` is execution-driven and
 speculative; its committed architectural state must match this simple
 in-order interpreter instruction for instruction.  The integration tests
-(``tests/integration/test_golden_model.py``) enforce exactly that.
+(``tests/integration/test_golden_model.py``) enforce exactly that.  Both
+evaluate the one per-opcode table :data:`SEMANTICS`, which
+``tests/isa/test_semantics.py`` checks against a reference interpreter on
+edge operands.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from repro.isa.instructions import (
 from repro.isa.program import Program
 
 _INT_MASK = (1 << 64) - 1
+_HALT = Opcode.HALT
 
 
 def wrap64(value: int) -> int:
@@ -86,92 +90,93 @@ def _safe_div(num: float, den: float) -> float:
         return math.inf if (num > 0) == (den > 0) else -math.inf
 
 
+#: The semantics of every opcode, as ``fn(a, b, imm)`` over the values of
+#: ``rs1`` and ``rs2`` (0 for an absent operand) and the immediate.  What
+#: ``fn`` returns depends on the opcode's class: the result for ALU and FP
+#: ops, the effective address for loads and stores (a store's ``rs1`` is
+#: its data, ``rs2`` its base), whether the branch is taken for branches,
+#: and ``None`` for NOP and HALT.  Integer results are wrapped to 64 bits
+#: here, so a result is the value its destination register holds.
+#:
+#: This one table is what both the ISS (:func:`execute_instruction`) and
+#: the out-of-order core's execute stage (with *renamed* operand values)
+#: evaluate, so the two cannot diverge semantically.  Each ``Opcode``
+#: member carries its entry as the plain attribute ``semantics``: the core
+#: calls it for every executed uop, and a member attribute costs a fraction
+#: of an enum-keyed lookup.
+SEMANTICS = {
+    Opcode.ADD: lambda a, b, imm: wrap64(a + b),
+    Opcode.SUB: lambda a, b, imm: wrap64(a - b),
+    Opcode.AND: lambda a, b, imm: a & b,
+    Opcode.OR: lambda a, b, imm: a | b,
+    Opcode.XOR: lambda a, b, imm: a ^ b,
+    Opcode.SLT: lambda a, b, imm: 1 if a < b else 0,
+    Opcode.SHL: lambda a, b, imm: wrap64(a << (b & 63)),
+    Opcode.SHR: lambda a, b, imm: wrap64((a & _INT_MASK) >> (b & 63)),
+    Opcode.MUL: lambda a, b, imm: wrap64(a * b),
+    Opcode.ADDI: lambda a, b, imm: wrap64(a + int(imm)),
+    Opcode.ANDI: lambda a, b, imm: wrap64(a & int(imm)),
+    Opcode.LI: lambda a, b, imm: wrap64(int(imm)),
+    Opcode.LOAD: lambda a, b, imm: wrap64(a + int(imm)),
+    Opcode.FLOAD: lambda a, b, imm: wrap64(a + int(imm)),
+    Opcode.STORE: lambda a, b, imm: wrap64(b + int(imm)),
+    Opcode.FSTORE: lambda a, b, imm: wrap64(b + int(imm)),
+    Opcode.BEQ: lambda a, b, imm: a == b,
+    Opcode.BNE: lambda a, b, imm: a != b,
+    Opcode.BLT: lambda a, b, imm: a < b,
+    Opcode.BGE: lambda a, b, imm: a >= b,
+    Opcode.JMP: lambda a, b, imm: True,
+    Opcode.FADD: lambda a, b, imm: a + b,
+    Opcode.FSUB: lambda a, b, imm: a - b,
+    Opcode.FMUL: lambda a, b, imm: a * b,
+    Opcode.FDIV: lambda a, b, imm: _safe_div(a, b),
+    Opcode.FSQRT: lambda a, b, imm: _fp_sqrt(a),
+    Opcode.FLI: lambda a, b, imm: float(imm),
+    Opcode.NOP: lambda a, b, imm: None,
+    Opcode.HALT: lambda a, b, imm: None,
+}
+
+#: The register value a load writes for the memory word it read: FLOAD
+#: coerces to a float, LOAD to a wrapped 64-bit integer.  Carried by the
+#: two load opcodes as ``load_result``.
+LOAD_RESULT = {
+    Opcode.LOAD: lambda raw: wrap64(int(raw)),
+    Opcode.FLOAD: float,
+}
+
+for _op in Opcode:
+    _op.semantics = SEMANTICS[_op]
+    _op.load_result = LOAD_RESULT.get(_op)
+del _op
+
+
 def execute_instruction(
     inst: Instruction, pc: int, state: ArchState
 ) -> tuple[int, bool, int | None, int | float | None]:
-    """Execute one instruction against ``state``.
+    """Execute one instruction against ``state`` through :data:`SEMANTICS`.
 
     Returns ``(next_pc, taken, mem_addr, result)`` where ``result`` is the
-    value written to ``inst.rd`` (None if no destination).  This function is
-    shared verbatim by the ISS and by the OoO core's execute stage (the OoO
-    core calls it with *renamed* operand values), so the two cannot diverge
-    semantically.
+    value the instruction produces for ``inst.rd`` (None for stores,
+    branches, NOP and HALT).
     """
     op = inst.opcode
-    rs1 = state.read_reg(inst.rs1) if inst.rs1 is not None else 0
-    rs2 = state.read_reg(inst.rs2) if inst.rs2 is not None else 0
-    next_pc = pc + 1
-    taken = False
-    mem_addr: int | None = None
-    result: int | float | None = None
-
-    if op is Opcode.ADD:
-        result = wrap64(rs1 + rs2)
-    elif op is Opcode.SUB:
-        result = wrap64(rs1 - rs2)
-    elif op is Opcode.AND:
-        result = rs1 & rs2
-    elif op is Opcode.OR:
-        result = rs1 | rs2
-    elif op is Opcode.XOR:
-        result = rs1 ^ rs2
-    elif op is Opcode.SLT:
-        result = 1 if rs1 < rs2 else 0
-    elif op is Opcode.SHL:
-        result = wrap64(rs1 << (rs2 & 63))
-    elif op is Opcode.SHR:
-        result = (rs1 & _INT_MASK) >> (rs2 & 63)
-    elif op is Opcode.MUL:
-        result = wrap64(rs1 * rs2)
-    elif op is Opcode.ADDI:
-        result = wrap64(rs1 + int(inst.imm))
-    elif op is Opcode.ANDI:
-        result = rs1 & int(inst.imm)
-    elif op is Opcode.LI:
-        result = wrap64(int(inst.imm))
-    elif op in (Opcode.LOAD, Opcode.FLOAD):
-        mem_addr = wrap64(rs1 + int(inst.imm))
-        result = state.read_mem(mem_addr)
-        if op is Opcode.FLOAD:
-            result = float(result)
-        else:
-            result = wrap64(int(result))
-    elif op in (Opcode.STORE, Opcode.FSTORE):
-        # rs1 = value, rs2 = base (assembler signature "ssi").
-        mem_addr = wrap64(rs2 + int(inst.imm))
-        state.write_mem(mem_addr, rs1)
-    elif op is Opcode.BEQ:
-        taken = rs1 == rs2
-    elif op is Opcode.BNE:
-        taken = rs1 != rs2
-    elif op is Opcode.BLT:
-        taken = rs1 < rs2
-    elif op is Opcode.BGE:
-        taken = rs1 >= rs2
-    elif op is Opcode.JMP:
-        taken = True
-    elif op is Opcode.FADD:
-        result = rs1 + rs2
-    elif op is Opcode.FSUB:
-        result = rs1 - rs2
-    elif op is Opcode.FMUL:
-        result = rs1 * rs2
-    elif op is Opcode.FDIV:
-        result = _safe_div(rs1, rs2)
-    elif op is Opcode.FSQRT:
-        result = _fp_sqrt(rs1)
-    elif op is Opcode.FLI:
-        result = float(inst.imm)
-    elif op in (Opcode.NOP, Opcode.HALT):
-        pass
-    else:  # pragma: no cover - exhaustive over Opcode
-        raise NotImplementedError(op)
-
-    if taken:
-        next_pc = inst.target if inst.target is not None else next_pc
-    if result is not None and inst.rd is not None:
-        state.write_reg(inst.rd, result)
-    return next_pc, taken, mem_addr, result
+    a = state.read_reg(inst.rs1) if inst.rs1 is not None else 0
+    b = state.read_reg(inst.rs2) if inst.rs2 is not None else 0
+    value = op.semantics(a, b, inst.imm)
+    if op.is_branch:
+        if value and inst.target is not None:
+            return inst.target, value, None, None
+        return pc + 1, value, None, None
+    if op.is_store:
+        state.write_mem(value, a)
+        return pc + 1, False, value, None
+    mem_addr = None
+    if op.is_load:
+        mem_addr = value
+        value = op.load_result(state.read_mem(mem_addr))
+    if value is not None and inst.rd is not None:
+        state.write_reg(inst.rd, value)
+    return pc + 1, False, mem_addr, value
 
 
 class Interpreter:
@@ -202,7 +207,7 @@ class Interpreter:
         )
         self.instructions_retired += 1
         self.pc = next_pc
-        if inst.opcode is Opcode.HALT:
+        if inst.opcode is _HALT:
             self.halted = True
         return record
 

@@ -49,6 +49,10 @@ from repro.memory.mshr import MshrFile
 from repro.memory.observer import ResourceObserver
 from repro.memory.tlb import Tlb
 
+# The levels bound once as module globals: every access returns one, and a
+# class-level read of an enum member is slow on Python 3.11.
+_L1, _L2, _L3, _DRAM = MemLevel.L1, MemLevel.L2, MemLevel.L3, MemLevel.DRAM
+
 #: Cycles a lookup occupies its cache bank (pipeline occupancy, not latency).
 BANK_OCCUPANCY = 1
 
@@ -242,12 +246,12 @@ class MemoryHierarchy:
         """
         line = self.line_of(addr)
         if self.l1.array.probe(line):
-            return MemLevel.L1
+            return _L1
         if self.l2.array.probe(line):
-            return MemLevel.L2
+            return _L2
         if self.l3_slices[self.slice_of(line)].array.probe(line):
-            return MemLevel.L3
-        return MemLevel.DRAM
+            return _L3
+        return _DRAM
 
     def line_in_l1(self, addr: int) -> bool:
         return self.l1.array.probe(self.line_of(addr))
@@ -310,14 +314,14 @@ class MemoryHierarchy:
         cursor = start + self.l1.config.latency
         if hit:
             self.observer.emit(cursor, "L1D", "respond", self.l1.array.set_index(line))
-            return MemLevel.L1, cursor
+            return _L1, cursor
         self._note_eviction(evicted, self.l2, cursor, "L1D")
         if self.l1.mshrs.would_merge(line, cursor):
             # A fill for this very line is already in flight: merge into it
             # and complete when it returns (Section VI-B1).
             self.stats.bump("mshr_merges")
             merge = self.l1.mshrs.allocate(line, cursor, cursor)
-            return MemLevel.L2, max(cursor, merge.release)
+            return _L2, max(cursor, merge.release)
         misses_crossed: list[MshrFile] = [self.l1.mshrs]
 
         # --- L2 ---
@@ -330,7 +334,7 @@ class MemoryHierarchy:
             self.observer.emit(cursor, "L2", "respond", self.l2.array.set_index(line))
             self.observer.emit(cursor, "L1D", "fill", self.l1.array.set_index(line))
             cursor = self._allocate_miss_mshrs(misses_crossed, line, start, cursor)
-            return MemLevel.L2, cursor
+            return _L2, cursor
         self._note_eviction(evicted, None, cursor, "L2")
         misses_crossed.append(self.l2.mshrs)
 
@@ -353,7 +357,7 @@ class MemoryHierarchy:
             self.observer.emit(cursor, "L2", "fill", self.l2.array.set_index(line))
             self.observer.emit(cursor, "L1D", "fill", self.l1.array.set_index(line))
             cursor = self._allocate_miss_mshrs(misses_crossed, line, start, cursor)
-            return MemLevel.L3, cursor
+            return _L3, cursor
         self._note_eviction(evicted, None, cursor, "L3")
         misses_crossed.append(slice_level.mshrs)
 
@@ -366,7 +370,7 @@ class MemoryHierarchy:
         self.observer.emit(cursor, "L2", "fill", self.l2.array.set_index(line))
         self.observer.emit(cursor, "L1D", "fill", self.l1.array.set_index(line))
         cursor = self._allocate_miss_mshrs(misses_crossed, line, cursor, cursor)
-        return MemLevel.DRAM, cursor
+        return _DRAM, cursor
 
     def _allocate_miss_mshrs(
         self, files: list[MshrFile], line: int, now: int, fill_at: int
@@ -466,11 +470,11 @@ class MemoryHierarchy:
         cursor = start + self.l1.config.latency
         if self.l1.array.probe(line):
             self.observer.emit(cursor, "L1D", "respond", self.l1.array.set_index(line))
-            return MemLevel.L1, cursor
+            return _L1, cursor
         if self.l1.mshrs.would_merge(line, cursor):
             self.stats.bump("mshr_merges")
             merge = self.l1.mshrs.allocate(line, cursor, cursor)
-            return MemLevel.L2, max(cursor, merge.release)
+            return _L2, max(cursor, merge.release)
         misses_crossed: list[MshrFile] = [self.l1.mshrs]
 
         # --- L2 ---
@@ -481,7 +485,7 @@ class MemoryHierarchy:
         if self.l2.array.probe(line):
             self.observer.emit(cursor, "L2", "respond", self.l2.array.set_index(line))
             cursor = self._allocate_miss_mshrs(misses_crossed, line, start, cursor)
-            return MemLevel.L2, cursor
+            return _L2, cursor
         misses_crossed.append(self.l2.mshrs)
 
         # --- L3 slice (over the mesh) ---
@@ -500,7 +504,7 @@ class MemoryHierarchy:
         if slice_level.array.probe(line):
             self.observer.emit(cursor, "L3", "respond", slice_index)
             cursor = self._allocate_miss_mshrs(misses_crossed, line, start, cursor)
-            return MemLevel.L3, cursor
+            return _L3, cursor
         misses_crossed.append(slice_level.mshrs)
 
         # --- DRAM (row-buffer state changes for real: the one piece of
@@ -511,7 +515,7 @@ class MemoryHierarchy:
         )
         cursor += dram_latency
         cursor = self._allocate_miss_mshrs(misses_crossed, line, cursor, cursor)
-        return MemLevel.DRAM, cursor
+        return _DRAM, cursor
 
     def release_speculative(self, addr: int, now: int) -> None:
         """A buffered load committed: its line becomes architecturally
@@ -554,7 +558,7 @@ class MemoryHierarchy:
         resource usage.  Never reaches DRAM (no DO variant exists for it);
         callers must turn DRAM predictions into delays *before* calling.
         """
-        if predicted_level is MemLevel.DRAM:
+        if predicted_level is _DRAM:
             raise ValueError(
                 "no DO variant exists for DRAM (Section VI-B2); "
                 "a DRAM prediction must fall back to delayed execution"
@@ -574,13 +578,13 @@ class MemoryHierarchy:
         actual_level = self.residence_level(addr)
         responses: list[tuple[MemLevel, int, bool]] = []
 
-        for level in (MemLevel.L1, MemLevel.L2, MemLevel.L3):
+        for level in (_L1, _L2, _L3):
             if level > predicted_level:
                 break
-            if level is MemLevel.L3:
+            if level is _L3:
                 cursor, respond_at = self._oblivious_l3_lookup(cursor)
             else:
-                target = self.l1 if level is MemLevel.L1 else self.l2
+                target = self.l1 if level is _L1 else self.l2
                 cursor, respond_at = self._oblivious_private_lookup(target, level, cursor)
             hit = tlb_hit and actual_level == level
             responses.append((level, respond_at, hit))
@@ -609,7 +613,7 @@ class MemoryHierarchy:
         bank and a private MSHR slot; the response arrives after the level's
         full latency regardless of hit or miss.
         """
-        name = "L1D" if level is MemLevel.L1 else "L2"
+        name = "L1D" if level is _L1 else "L2"
         grant = target.ports.grant(cursor)
         start = target.banks.reserve_all(grant, OBL_BANK_OCCUPANCY)
         self.observer.emit(start, f"{name}.bank", "reserve_all", OBL_BANK_OCCUPANCY)

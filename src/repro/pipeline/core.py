@@ -44,7 +44,7 @@ from repro.common.stats import StatGroup
 from repro.frontend.branch_predictor import TournamentPredictor
 from repro.frontend.btb import BranchTargetBuffer
 from repro.isa.instructions import Opcode, OpClass, is_subnormal
-from repro.isa.iss import ArchState, Interpreter, execute_instruction, wrap64
+from repro.isa.iss import ArchState, Interpreter
 from repro.isa.program import Program
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.pipeline.lsq import LoadQueue, StoreQueue
@@ -59,16 +59,44 @@ from repro.pipeline.protection import (
 )
 from repro.pipeline.registers import PhysRegFile, RenameMap
 from repro.pipeline.rob import ReorderBuffer
-from repro.pipeline.uop import DynInst, OblState, UopState
+from repro.pipeline.uop import DynInst, OblState, TransmitterState, UopState
 
-#: Fixed execution latencies (cycles) by opcode class / opcode.
+# Enum members the pipeline tests per uop or per cycle, bound once.  On
+# Python 3.11 a class-level read such as ``UopState.WAITING`` goes through
+# ``EnumType.__getattr__`` (~150 ns against ~20 ns for a module global),
+# and an enum-keyed dict lookup pays a Python-level ``Enum.__hash__``; the
+# hot paths below therefore compare these globals by identity instead.
+_WAITING = UopState.WAITING
+_ISSUED = UopState.ISSUED
+_COMPLETED = UopState.COMPLETED
+_RETIRED = UopState.RETIRED
+_FETCHED = UopState.FETCHED
+_OBL_NONE = OblState.NONE
+_OBL_INFLIGHT = OblState.INFLIGHT
+_OBL_DONE = OblState.DONE
+_INT_ALU = OpClass.INT_ALU
+_INT_MUL = OpClass.INT_MUL
+_BRANCH = OpClass.BRANCH
+_FP = OpClass.FP
+_SYSTEM = OpClass.SYSTEM
+_HALT = Opcode.HALT
+_LOAD_NORMAL = LoadIssueAction.NORMAL
+_LOAD_OBLIVIOUS = LoadIssueAction.OBLIVIOUS
+_LOAD_DELAY = LoadIssueAction.DELAY
+_LOAD_BUFFERED = LoadIssueAction.BUFFERED
+_FP_NORMAL = FpIssueAction.NORMAL
+_FP_PREDICT_FAST = FpIssueAction.PREDICT_FAST
+_FP_DELAY = FpIssueAction.DELAY
+_L1 = MemLevel.L1
+
+#: Fixed execution latencies (cycles) of the FP opcodes, by mnemonic.
 _FP_FAST_LATENCY = {
-    Opcode.FADD: 3,
-    Opcode.FSUB: 3,
-    Opcode.FMUL: 4,
-    Opcode.FDIV: 12,
-    Opcode.FSQRT: 15,
-    Opcode.FLI: 1,
+    "fadd": 3,
+    "fsub": 3,
+    "fmul": 4,
+    "fdiv": 12,
+    "fsqrt": 15,
+    "fli": 1,
 }
 #: Extra cycles of the microcoded slow path taken on subnormal operands
 #: (the operand-dependent timing of [5] the paper's FP example builds on).
@@ -246,39 +274,17 @@ class SimulationResult:
         return self.termination == TERMINATION_HALTED
 
 
-class _ExecView:
-    """ArchState-compatible adapter giving ``execute_instruction`` renamed
-    operand values and a speculative memory view."""
-
-    __slots__ = ("core", "uop", "result", "store_addr", "store_value", "load_addr")
-
-    def __init__(self, core: "Core", uop: DynInst) -> None:
-        self.core = core
-        self.uop = uop
-        self.result: int | float | None = None
-        self.store_addr: int | None = None
-        self.store_value: int | float | None = None
-        self.load_addr: int | None = None
-
-    def read_reg(self, reg: int) -> int | float:
-        inst = self.uop.inst
-        if reg == inst.rs1:
-            return self.core.prf.value[self.uop.src_pregs[0]]
-        if reg == inst.rs2:
-            index = 1 if inst.rs1 is not None else 0
-            return self.core.prf.value[self.uop.src_pregs[index]]
-        raise KeyError(f"uop {self.uop} read unexpected register {reg}")
-
-    def write_reg(self, reg: int, value: int | float) -> None:
-        self.result = value
-
-    def read_mem(self, addr: int) -> int | float:
-        self.load_addr = addr
-        return self.core.speculative_read(addr, self.uop.seq)
-
-    def write_mem(self, addr: int, value: int | float) -> None:
-        self.store_addr = addr
-        self.store_value = value
+def _operands(values: list, uop: DynInst) -> tuple:
+    """The values of ``uop``'s ``rs1`` and ``rs2`` (0 for an absent one),
+    read straight from the physical register file."""
+    src = uop.src_pregs
+    if len(src) == 2:
+        return values[src[0]], values[src[1]]
+    if not src:
+        return 0, 0
+    if uop.inst.rs1 is not None:
+        return values[src[0]], 0
+    return 0, values[src[0]]
 
 
 class Core:
@@ -373,6 +379,21 @@ class Core:
         self._occ_sq = 0
         self._occ_decode = 0
         self._stall_counts: dict[str, int] = {}
+        # Per-uop counts, in plain ints for the same reason: fetched,
+        # issued and committed uops, and each issue-gate outcome.  A delay
+        # is one ``core.*_delay_cycles`` cycle and one ``decisions.*_delay``;
+        # an oblivious issue is ``core.obl_issued`` too, and a fast FP
+        # prediction ``core.fp_predicted_fast``.
+        self._n_fetched = 0
+        self._n_issued = 0
+        self._n_instructions = 0
+        self._n_load_normal = 0
+        self._n_load_oblivious = 0
+        self._n_load_buffered = 0
+        self._n_load_delays = 0
+        self._n_fp_normal = 0
+        self._n_fp_predict_fast = 0
+        self._n_fp_delays = 0
 
         #: Attached observers (:class:`CoreObserver`), in attach order (see
         #: :meth:`attach_observer`); empty by default.
@@ -439,7 +460,7 @@ class Core:
         if hang_window <= 0:
             raise ValueError(f"hang_window must be positive, got {hang_window}")
         self._hang_window = hang_window
-        target = self.stats["instructions"] + max_instructions
+        target = self._n_instructions + max_instructions
         skipping = (
             self.fast_forward
             and not self.observers
@@ -447,7 +468,7 @@ class Core:
         )
         while not self.halted and self.cycle < max_cycles:
             idle = self.step()
-            if self.stats["instructions"] >= target:
+            if self._n_instructions >= target:
                 break
             if idle and skipping:
                 self._fast_forward(max_cycles)
@@ -463,13 +484,13 @@ class Core:
         merged["core.bpred_mispredict_rate"] = self.bpred.mispredict_rate
         if self.halted:
             termination = TERMINATION_HALTED
-        elif self.stats["instructions"] >= target:
+        elif self._n_instructions >= target:
             termination = TERMINATION_MAX_INSTRUCTIONS
         else:
             termination = TERMINATION_MAX_CYCLES
         return SimulationResult(
             cycles=self.cycle,
-            instructions=self.stats["instructions"],
+            instructions=self._n_instructions,
             stats=merged,
             termination=termination,
         )
@@ -479,16 +500,18 @@ class Core:
         head = self.rob.head
         head_state: dict[str, object] = {}
         if head is not None:
+            # A uop without protection state reports the fresh defaults.
+            tx = head.tx if head.tx is not None else TransmitterState()
             head_state = {
                 "seq": head.seq,
                 "pc": head.pc,
                 "opcode": head.inst.opcode.mnemonic,
                 "state": head.state.value,
-                "obl_state": head.obl_state.name,
-                "safe": head.safe,
-                "pending_squash": head.pending_squash,
-                "needs_validation": head.needs_validation,
-                "validation_done": head.validation_done,
+                "obl_state": tx.obl_state.name,
+                "safe": tx.safe,
+                "pending_squash": tx.pending_squash,
+                "needs_validation": tx.needs_validation,
+                "validation_done": tx.validation_done,
                 "delayed_cycles": head.delayed_cycles,
                 "resolution_pending": head.resolution_pending,
             }
@@ -505,7 +528,7 @@ class Core:
             cycle=self.cycle,
             last_commit_cycle=self._last_commit_cycle,
             hang_window=hang_window,
-            instructions=int(self.stats["instructions"]),
+            instructions=self._n_instructions,
             stall_reason=self._stall_reason(),
             rob_head=repr(head) if head is not None else None,
             rob_head_state=head_state,
@@ -652,15 +675,12 @@ class Core:
             self.stats.bump(self._cycle_dispatch_stall, span)
         if self._cycle_validation_stall:
             self.stats.bump("validation_stall_cycles", span)
-        decisions = self.protection.decision_stats
         for uop in self._cycle_delayed_loads:
             uop.delayed_cycles += span
-            self.stats.bump("load_delay_cycles", span)
-            decisions.bump(LOAD_DECISION_COUNTERS[LoadIssueAction.DELAY], span)
+            self._n_load_delays += span
         for uop in self._cycle_delayed_fps:
             uop.delayed_cycles += span
-            self.stats.bump("fp_delay_cycles", span)
-            decisions.bump(FP_DECISION_COUNTERS[FpIssueAction.DELAY], span)
+            self._n_fp_delays += span
         self.cycle = target
         self.ff_skipped_cycles += span
         self.ff_windows += 1
@@ -670,12 +690,12 @@ class Core:
         head = self.rob.head
         if head is None:
             return "frontend"
-        if head.is_branch and head.completed:
+        if head.is_branch and head.state.done:
             # Resolution scheduled (or held by STT's implicit-channel rule).
             return "branch_hold" if head.resolution_pending else "exec"
-        if not head.completed:
-            state = head.state
-            if state is UopState.WAITING:
+        state = head.state
+        if not state.done:
+            if state is _WAITING:
                 if head.delayed_cycles > 0:
                     return "stt_delay"
                 ready = self.prf.ready
@@ -683,25 +703,59 @@ class Core:
                     if not ready[preg]:
                         return "operands"
                 return "disambiguation" if head.is_load else "issue_width"
-            if state is UopState.ISSUED:
-                if head.obl_state is OblState.INFLIGHT:
+            if state is _ISSUED:
+                if head.is_load and head.tx.obl_state is _OBL_INFLIGHT:
                     return "do_variant_wait"
                 return "memory" if head.is_load else "exec"
             return "frontend"  # FETCHED head cannot happen; be safe
+        tx = head.tx
         if head.is_load:
-            if head.pending_squash:
+            if tx.pending_squash:
                 return "do_fail_wait"
-            if head.obl_state is not OblState.NONE and not head.safe:
+            if tx.obl_state is not _OBL_NONE and not tx.safe:
                 return "do_safe_wait"
-            if head.needs_validation and not head.validation_done:
+            if tx.needs_validation and not tx.validation_done:
                 return "validation_wait"
-        if head.fp_predicted_fast and not head.safe:
+        elif tx is not None and tx.fp_predicted_fast and not tx.safe:
             return "do_safe_wait"
         # Head became ready after the commit stage already ran this cycle.
         return "commit_skew"
 
     def _fold_cycle_accounting(self) -> None:
-        """Publish the plain-int per-cycle accumulators as stats counters."""
+        """Publish the plain-int per-cycle and per-uop accumulators as stats
+        counters.  A counter the stepped path never touched stays absent,
+        as it would if it were bumped one at a time."""
+        stats = self.stats
+        if self._n_fetched:
+            stats.set("fetched", self._n_fetched)
+        if self._n_issued:
+            stats.set("issued", self._n_issued)
+        if self._n_instructions:
+            stats.set("instructions", self._n_instructions)
+        if self._n_load_oblivious:
+            stats.set("obl_issued", self._n_load_oblivious)
+        if self._n_load_delays:
+            stats.set("load_delay_cycles", self._n_load_delays)
+        if self._n_fp_predict_fast:
+            stats.set("fp_predicted_fast", self._n_fp_predict_fast)
+        if self._n_fp_delays:
+            stats.set("fp_delay_cycles", self._n_fp_delays)
+        decisions = self.protection.decision_stats
+        for action, count in (
+            (_LOAD_NORMAL, self._n_load_normal),
+            (_LOAD_OBLIVIOUS, self._n_load_oblivious),
+            (_LOAD_DELAY, self._n_load_delays),
+            (_LOAD_BUFFERED, self._n_load_buffered),
+        ):
+            if count:
+                decisions.set(LOAD_DECISION_COUNTERS[action], count)
+        for action, count in (
+            (_FP_NORMAL, self._n_fp_normal),
+            (_FP_PREDICT_FAST, self._n_fp_predict_fast),
+            (_FP_DELAY, self._n_fp_delays),
+        ):
+            if count:
+                decisions.set(FP_DECISION_COUNTERS[action], count)
         for reason in STALL_REASONS:
             if reason in self._stall_counts:
                 self._stall_stats.set(reason, self._stall_counts[reason])
@@ -737,7 +791,7 @@ class Core:
         line = self.hierarchy.line_of(addr)
         self.hierarchy.external_invalidate(addr)
         for uop in self.lq.loads_of_line(line):
-            uop.invalidated_while_inflight = True
+            uop.tx.invalidated_while_inflight = True
             self.stats.bump("consistency_marks")
 
     # ------------------------------------------------------------------ #
@@ -779,17 +833,20 @@ class Core:
         if self._fetch_halted or self.cycle < self._fetch_resume_cycle:
             return 0
         core_cfg = self.config.core
-        if len(self._decode_queue) >= 3 * core_cfg.fetch_width:
+        width = core_cfg.fetch_width
+        decode_queue = self._decode_queue
+        if len(decode_queue) >= 3 * width:
             self.stats.bump("fetch_buffer_full_cycles")
             self._cycle_fetch_stall = "fetch_buffer_full_cycles"
             return 0
         program = self.program.instructions
-        decode_queue = self._decode_queue
+        end = len(program)
         decode_ready = self.cycle + core_cfg.fetch_to_decode_latency
         pc = self.fetch_pc
+        seq = self._seq
         fetched = 0
-        while fetched < core_cfg.fetch_width:
-            if not 0 <= pc < len(program):
+        while fetched < width:
+            if not 0 <= pc < end:
                 # Ran off the program on a wrong path; wait for a redirect.
                 self.stats.bump("fetch_off_end_cycles")
                 if fetched == 0:
@@ -797,36 +854,36 @@ class Core:
                 break
             inst = program[pc]
             opcode = inst.opcode
-            uop = DynInst(self._seq, pc, inst)
-            self._seq += 1
+            uop = DynInst(seq, pc, inst, decode_ready)
+            seq += 1
             next_pc = pc + 1
+            taken = False
             if opcode.is_branch:
                 if opcode.is_conditional_branch:
                     prediction = self.bpred.predict(pc)
                     uop.prediction = prediction
-                    uop.predicted_taken = prediction.taken
+                    taken = prediction.taken
                 else:  # JMP
-                    uop.predicted_taken = True
-                if uop.predicted_taken and inst.target is not None:
+                    taken = True
+                if taken and inst.target is not None:
                     next_pc = inst.target
-            uop.predicted_next_pc = next_pc
-            uop.decode_ready = decode_ready
+                uop.predicted_next_pc = next_pc
             decode_queue.append(uop)
             if self.observers:
                 for observer in self.observers:
                     observer.on_fetch(uop, self.cycle)
             pc = next_pc
             fetched += 1
-            if opcode is Opcode.HALT:
+            if opcode is _HALT:
                 # Stop fetching past a (possibly speculative) HALT; a squash
                 # redirect un-sticks us if it was wrong-path.
                 self._fetch_halted = True
                 break
-            if uop.predicted_taken:
+            if taken:
                 break  # taken-branch fetch break
+        self._seq = seq
         self.fetch_pc = pc
-        if fetched:
-            self.stats.bump("fetched", fetched)
+        self._n_fetched += fetched
         return fetched
 
     # ------------------------------------------------------------------ #
@@ -839,24 +896,27 @@ class Core:
         width = core_cfg.decode_width
         cycle = self.cycle
         rob, lq, sq = self.rob, self.lq, self.sq
+        # The capacity checks below stand in for the queues' own push()
+        # checks; the peaks are updated once, after the loop.
+        rob_entries, lq_entries, sq_entries = rob._entries, lq._entries, sq._entries
         dispatched = 0
         while width > 0 and decode_queue:
             uop = decode_queue[0]
             if uop.decode_ready > cycle:
                 break
-            if len(rob._entries) >= rob.capacity:
+            if len(rob_entries) >= rob.capacity:
                 self.stats.bump("rob_full_stalls")
                 self._cycle_dispatch_stall = "rob_full_stalls"
                 break
-            if uop.is_load and len(lq._entries) >= lq.capacity:
+            if uop.is_load and len(lq_entries) >= lq.capacity:
                 self.stats.bump("lq_full_stalls")
                 self._cycle_dispatch_stall = "lq_full_stalls"
                 break
-            if uop.is_store and len(sq._entries) >= sq.capacity:
+            if uop.is_store and len(sq_entries) >= sq.capacity:
                 self.stats.bump("sq_full_stalls")
                 self._cycle_dispatch_stall = "sq_full_stalls"
                 break
-            needs_iq = uop.op_class is not OpClass.SYSTEM
+            needs_iq = uop.op_class is not _SYSTEM
             if needs_iq and len(self.iq) >= core_cfg.iq_entries:
                 self.stats.bump("iq_full_stalls")
                 self._cycle_dispatch_stall = "iq_full_stalls"
@@ -866,23 +926,29 @@ class Core:
                 self._cycle_dispatch_stall = "no_preg_stalls"
                 break
             decode_queue.popleft()
-            rob.push(uop)
-            uop.state = UopState.WAITING
-            uop.ready_cycle = cycle
+            rob_entries.append(uop)
             if uop.is_load:
-                lq.push(uop)
+                lq_entries.append(uop)
             elif uop.is_store:
-                sq.push(uop)
+                sq_entries.append(uop)
             if needs_iq:
+                uop.state = _WAITING
                 self._enter_iq(uop)
             else:
-                uop.state = UopState.COMPLETED
+                uop.state = _COMPLETED
                 uop.complete_cycle = cycle
             if self.observers:
                 for observer in self.observers:
                     observer.on_dispatch(uop, cycle)
             dispatched += 1
             width -= 1
+        if dispatched:
+            if len(rob_entries) > rob.peak_occupancy:
+                rob.peak_occupancy = len(rob_entries)
+            if len(lq_entries) > lq.peak_occupancy:
+                lq.peak_occupancy = len(lq_entries)
+            if len(sq_entries) > sq.peak_occupancy:
+                sq.peak_occupancy = len(sq_entries)
         return dispatched
 
     def _rename(self, uop: DynInst) -> bool:
@@ -977,13 +1043,13 @@ class Core:
                 fp_free -= 1
             else:
                 op_class = uop.op_class
-                if op_class is OpClass.INT_ALU and alu_free:
+                if op_class is _INT_ALU and alu_free:
                     alu_free -= 1
-                elif op_class is OpClass.BRANCH and branch_free:
+                elif op_class is _BRANCH and branch_free:
                     branch_free -= 1
-                elif op_class is OpClass.INT_MUL and mul_free:
+                elif op_class is _INT_MUL and mul_free:
                     mul_free -= 1
-                elif op_class is OpClass.FP and fp_free:
+                elif op_class is _FP and fp_free:
                     fp_free -= 1
                 else:
                     kept.append(uop)
@@ -994,76 +1060,70 @@ class Core:
         issued = len(ready) - len(kept)
         if issued:
             self._ready = kept
+            self._n_issued += issued
         return issued
 
-    def _execute(self, uop: DynInst) -> _ExecView:
-        """Functionally execute ``uop`` with renamed operands."""
-        view = _ExecView(self, uop)
-        next_pc, taken, _, _ = execute_instruction(uop.inst, uop.pc, view)
-        uop.actual_taken = taken
-        uop.actual_next_pc = next_pc
-        return view
-
     def _issue_simple(self, uop: DynInst) -> None:
-        """ALU / FP-non-transmitter / branch issue."""
-        view = self._execute(uop)
-        uop.issue_cycle = self.cycle
-        uop.state = UopState.ISSUED
-        uop.result = view.result
+        """ALU / FP-non-transmitter / branch issue: execute with the renamed
+        operand values and schedule the writeback (or resolution)."""
+        inst = uop.inst
+        a, b = _operands(self.prf.value, uop)
+        value = inst.opcode.semantics(a, b, inst.imm)
+        cycle = self.cycle
+        uop.issue_cycle = cycle
         latency = self._latency_of(uop)
         if uop.is_branch:
-            self._schedule(self.cycle + latency, "branch_resolve", uop)
-            uop.result = None
             # Branches have no dest; completion coincides with resolution
             # scheduling (the squash, if any, happens at resolve time).
-            uop.state = UopState.COMPLETED
-            uop.complete_cycle = self.cycle + latency
+            uop.actual_taken = value
+            if value and inst.target is not None:
+                uop.actual_next_pc = inst.target
+            uop.state = _COMPLETED
+            uop.complete_cycle = cycle + latency
+            self._schedule(cycle + latency, "branch_resolve", uop)
         else:
-            self._schedule(self.cycle + latency, "complete", uop)
-        self.stats.bump("issued")
+            uop.state = _ISSUED
+            uop.result = value
+            self._schedule(cycle + latency, "complete", uop)
         if self.observers:
             for observer in self.observers:
-                observer.on_issue(uop, self.cycle)
+                observer.on_issue(uop, cycle)
 
     def _latency_of(self, uop: DynInst) -> int:
-        op = uop.inst.opcode
         op_class = uop.op_class
-        if op_class is OpClass.INT_ALU:
+        if op_class is _INT_ALU or op_class is _BRANCH:
             return 1
-        if op_class is OpClass.INT_MUL:
+        if op_class is _INT_MUL:
             return 3
-        if op_class is OpClass.BRANCH:
-            return 1
-        if op_class is OpClass.FP:
-            base = _FP_FAST_LATENCY[op]
+        if op_class is _FP:
+            base = _FP_FAST_LATENCY[uop.inst.opcode.mnemonic]
             if self._fp_operands_slow(uop):
                 return base + FP_SLOW_EXTRA
             return base
-        raise AssertionError(f"no fixed latency for {op}")
+        raise AssertionError(f"no fixed latency for {uop.inst.opcode}")
 
     def _fp_operands_slow(self, uop: DynInst) -> bool:
+        values = self.prf.value
         for preg in uop.src_pregs:
-            value = self.prf.value[preg]
+            value = values[preg]
             if isinstance(value, float) and is_subnormal(value):
                 return True
         return False
 
     def _issue_store(self, uop: DynInst) -> None:
         """Address generation; data is captured when its register is ready."""
-        base = self.prf.value[uop.src_pregs[1]]
-        uop.addr = wrap64(int(base) + int(uop.inst.imm))
+        prf = self.prf
+        inst = uop.inst
+        uop.addr = inst.opcode.semantics(0, prf.value[uop.src_pregs[1]], inst.imm)
         uop.line = self.hierarchy.line_of(uop.addr)
         uop.issue_cycle = self.cycle
-        uop.state = UopState.ISSUED
-        uop.actual_taken = False
-        uop.actual_next_pc = uop.pc + 1
+        uop.state = _ISSUED
         data_preg = uop.src_pregs[0]
-        if self.prf.ready[data_preg]:
-            uop.store_value = self.prf.value[data_preg]
+        if prf.ready[data_preg]:
+            uop.store_value = prf.value[data_preg]
             self._schedule(self.cycle + 1, "complete", uop)
         else:
             self._stores_awaiting_data.append(uop)
-        self.stats.bump("issued")
         if self.observers:
             for observer in self.observers:
                 observer.on_issue(uop, self.cycle)
@@ -1086,7 +1146,14 @@ class Core:
     # --- loads ----------------------------------------------------------- #
 
     def _try_issue_load(self, uop: DynInst) -> bool:
-        """Attempt to issue a ready load; returns False to retry later."""
+        """Attempt to issue a ready load; returns False to retry later.
+
+        The issue gate is scheme-agnostic: every :class:`LoadIssueAction`
+        maps to one core-side issue path, and DELAY is handled before the
+        gate (a delayed load never issues).  A new protection scheme plugs
+        in by returning a different action; this method never special-cases
+        any scheme.
+        """
         # Conservative disambiguation: wait until all older stores have
         # computed their addresses.
         if not self.sq.all_addresses_known_before(uop.seq):
@@ -1096,25 +1163,27 @@ class Core:
         # Source registers cannot change while the load waits, so delayed
         # retries reuse it.  The *value* is re-read at actual issue because
         # an older store may have drained in the meantime.
+        inst = uop.inst
         if uop.addr is None:
-            view = self._execute(uop)
-            uop.addr = view.load_addr
-            uop.line = self.hierarchy.line_of(view.load_addr)
+            base = self.prf.value[uop.src_pregs[0]] if inst.rs1 is not None else 0
+            uop.addr = inst.opcode.semantics(base, 0, inst.imm)
+            uop.line = self.hierarchy.line_of(uop.addr)
         forward = self.sq.forward_source(uop.addr, uop.seq)
         if forward is not None and forward.store_value is None:
             # The matching store's data has not arrived; the forwarded value
             # would be wrong — retry next cycle.
             return False
-        had_level = uop.predicted_level is not None
+        tx = uop.tx
+        had_level = tx.predicted_level is not None
         decision = self.protection.load_issue_decision(uop)
-        self.protection.decision_stats.bump(LOAD_DECISION_COUNTERS[decision.action])
+        action = decision.action
         if self.observers:
             for observer in self.observers:
                 observer.on_load_decision(uop, self.cycle, decision)
-        if decision.action is LoadIssueAction.DELAY:
+        if action is _LOAD_DELAY:
+            self._n_load_delays += 1
             uop.delayed_cycles += 1
-            self.stats.bump("load_delay_cycles")
-            if not had_level and uop.predicted_level is not None:
+            if not had_level and tx.predicted_level is not None:
                 # A fresh location prediction was made this cycle (one-shot
                 # predictor-accounting bumps inside the scheme): the cycle
                 # is not a pure retry, so it must not be fast-forwarded.
@@ -1123,33 +1192,37 @@ class Core:
                 self._cycle_delayed_loads.append(uop)
             return False
         uop.issue_cycle = self.cycle
-        uop.state = UopState.ISSUED
-        raw = self.speculative_read(uop.addr, uop.seq)
-        # Match the ISS's load semantics (FLOAD coerces to float, LOAD to a
-        # wrapped 64-bit integer) so the golden-model comparison stays exact.
-        if uop.inst.opcode is Opcode.FLOAD:
-            uop.value = float(raw)
-        else:
-            uop.value = wrap64(int(raw))
-        self._LOAD_ISSUE_GATES[decision.action](self, uop, forward, decision)
-        self.stats.bump("issued")
+        uop.state = _ISSUED
+        # The ISS's load semantics (FLOAD coerces to float, LOAD to a
+        # wrapped 64-bit integer) keep the golden-model comparison exact.
+        uop.value = inst.opcode.load_result(self.speculative_read(uop.addr, uop.seq))
+        if action is _LOAD_NORMAL:
+            self._n_load_normal += 1
+            self._issue_load_normal(uop, forward)
+        elif action is _LOAD_OBLIVIOUS:
+            self._n_load_oblivious += 1
+            self._issue_load_oblivious(uop, forward, decision.predicted_level)
+        elif action is _LOAD_BUFFERED:
+            self._n_load_buffered += 1
+            self._issue_load_buffered(uop, forward)
+        else:  # pragma: no cover - exhaustive over LoadIssueAction
+            raise AssertionError(f"no issue path for {action}")
         if self.observers:
             for observer in self.observers:
                 observer.on_issue(uop, self.cycle)
         return True
 
-    def _issue_load_normal(
-        self, uop: DynInst, forward: DynInst | None, decision: IssueDecision
-    ) -> None:
+    def _issue_load_normal(self, uop: DynInst, forward: DynInst | None) -> None:
         if forward is not None:
             uop.sq_forward_seq = forward.seq
-            uop.actual_level = None
+            uop.tx.actual_level = None
             self.stats.bump("sq_forwards")
             self._schedule(self.cycle + _SQ_FORWARD_LATENCY, "complete", uop)
             return
         response = self.hierarchy.load(uop.addr, self.cycle)
-        uop.actual_level = response.level
-        if uop.predicted_level is not None:
+        tx = uop.tx
+        tx.actual_level = response.level
+        if tx.predicted_level is not None:
             # This load carried a location prediction but issued normally —
             # the DRAM-prediction delay fallback.  Train the predictor with
             # what the standard access found (Section V-C3: "update the
@@ -1157,67 +1230,54 @@ class Core:
             self._train_predictor(uop)
         self._schedule(response.complete_at, "complete", uop)
 
-    def _issue_load_buffered(
-        self, uop: DynInst, forward: DynInst | None, decision: IssueDecision
-    ) -> None:
+    def _issue_load_buffered(self, uop: DynInst, forward: DynInst | None) -> None:
         """Transparent speculation (SpecBox-style): execute now with real
         timing, but park the line in the hierarchy's speculative buffer.
         The scheme's ``on_commit``/``on_squash`` hooks release or drop the
         buffered line, so cache state only ever reflects committed loads.
         """
+        tx = uop.tx
         if forward is not None:
             uop.sq_forward_seq = forward.seq
-            uop.actual_level = None
+            tx.actual_level = None
             self.stats.bump("sq_forwards")
             self._schedule(self.cycle + _SQ_FORWARD_LATENCY, "complete", uop)
             return
         response = self.hierarchy.speculative_load(uop.addr, self.cycle)
-        uop.actual_level = response.level
-        uop.spec_buffered = True
+        tx.actual_level = response.level
+        tx.spec_buffered = True
         self._schedule(response.complete_at, "complete", uop)
 
     def _issue_load_oblivious(
-        self, uop: DynInst, forward: DynInst | None, decision: IssueDecision
+        self, uop: DynInst, forward: DynInst | None, level: MemLevel
     ) -> None:
-        """Event A of Section V-C2: issue as an Obl-Ld.
+        """Event A of Section V-C2: issue as an Obl-Ld at ``level``.
 
         Per Section V-C3, on a store-queue hit the Obl-Ld still issues
         (uniform resource usage) but correct data is forwarded from the SQ
         once all responses return.
         """
-        level = decision.predicted_level
         response = self.hierarchy.oblivious_load(uop.addr, level, self.cycle)
-        uop.obl_state = OblState.INFLIGHT
-        uop.obl_response = response
-        uop.predicted_level = level
-        uop.actual_level = response.actual_level
+        tx = uop.tx
+        tx.obl_state = _OBL_INFLIGHT
+        tx.obl_response = response
+        tx.predicted_level = level
+        tx.actual_level = response.actual_level
         if forward is not None:
             uop.sq_forward_seq = forward.seq
             self.stats.bump("sq_forwards")
-        self.stats.bump("obl_issued")
         # Validation policy (Section VI-A field 3): exposure if the L1
         # lookup succeeds, or if the load cannot be reordered with older
         # memory operations (the InvisiSpec exposure condition, approximated
         # as "no older memory ops in flight at issue").
         oldest_mem = self._is_oldest_mem_op(uop)
-        uop.use_exposure = oldest_mem or (
-            response.success and response.actual_level is MemLevel.L1
+        tx.use_exposure = oldest_mem or (
+            response.success and response.actual_level is _L1
         ) or forward is not None
-        uop.needs_validation = not uop.use_exposure
+        tx.needs_validation = not tx.use_exposure
         for _, respond_cycle, _ in response.responses:
             self._schedule(respond_cycle, "obl_resp", uop)
         self._protected_watch.append(uop)
-
-    #: The issue gate (scheme-agnostic): every LoadIssueAction maps to one
-    #: core-side issue path.  DELAY is handled before the gate (a delayed
-    #: load never issues).  A new protection scheme plugs in by returning a
-    #: different action — _try_issue_load itself never special-cases any
-    #: scheme.
-    _LOAD_ISSUE_GATES = {
-        LoadIssueAction.NORMAL: _issue_load_normal,
-        LoadIssueAction.OBLIVIOUS: _issue_load_oblivious,
-        LoadIssueAction.BUFFERED: _issue_load_buffered,
-    }
 
     def _older_loads_done(self, uop: DynInst) -> bool:
         """The InvisiSpec exposure condition, evaluated at the safe point:
@@ -1233,15 +1293,16 @@ class Core:
 
     def _obl_wait_buffer(self, uop: DynInst) -> None:
         """A response reached the wait buffer (may be event B)."""
-        if uop.obl_state is not OblState.INFLIGHT:
+        tx = uop.tx
+        if tx.obl_state is not _OBL_INFLIGHT:
             return
-        response = uop.obl_response
+        response = tx.obl_response
         # Early forwarding (Section V-C2): once safe, data may be forwarded
         # as soon as a success response (with all earlier responses) arrives.
         if (
             self.config.protection.early_forwarding
-            and uop.safe
-            and not uop.completed
+            and tx.safe
+            and not uop.state.done
             and uop.sq_forward_seq is None
         ):
             first_success = response.first_success_cycle()
@@ -1252,24 +1313,24 @@ class Core:
         if self.cycle < response.complete_at:
             return
         # --- Event B: all responses arrived ---
-        uop.obl_state = OblState.DONE
+        tx.obl_state = _OBL_DONE
         sq_hit = uop.sq_forward_seq is not None
         success = response.success or sq_hit
-        if not uop.safe:
+        if not tx.safe:
             # Case 1 ordering (B before C): forward unconditionally —
             # success or fail must look identical to the attacker.
             if success:
                 self._obl_complete_success(uop)
             else:
-                uop.pending_squash = True
+                tx.pending_squash = True
                 self.stats.bump("obl_fail_forwards")
                 self._writeback(uop, self._poison_value(uop))
             return
         # C already happened (Case 2/3 orderings).
         if success:
-            if not uop.completed:
+            if not uop.state.done:
                 self._obl_complete_success(uop)
-        elif uop.validation_complete_cycle < 0 and not uop.validation_done:
+        elif tx.validation_complete_cycle < 0 and not tx.validation_done:
             # Fail, safe, and no validation in flight (the exposure condition
             # had been assumed at C): it is now safe to reveal the fail, so
             # issue the standard access that will supply the value.
@@ -1278,19 +1339,21 @@ class Core:
         # validation (event D) supply the value.
 
     def _poison_value(self, uop: DynInst) -> int | float:
-        """The architecturally wrong value a failed DO variant forwards."""
-        return 0.0 if uop.inst.opcode is Opcode.FLOAD else 0
+        """The architecturally wrong value a failed DO variant forwards: a
+        zero of the load's type."""
+        return uop.inst.opcode.load_result(0)
 
     def _obl_complete_success(self, uop: DynInst) -> None:
-        if uop.completed:
+        if uop.state.done:
             return
-        if uop.safe:
+        tx = uop.tx
+        if tx.safe:
             # Success is public once the load is safe: train the location
             # predictor now (Section V-C3).
             self._train_predictor(uop)
-        if uop.sq_forward_seq is None and uop.obl_response is not None:
+        if uop.sq_forward_seq is None and tx.obl_response is not None:
             first_hit = next(
-                (cycle for _, cycle, hit in uop.obl_response.responses if hit), None
+                (cycle for _, cycle, hit in tx.obl_response.responses if hit), None
             )
             if first_hit is not None:
                 # Cycles the correct data sat in the wait buffer waiting for
@@ -1309,7 +1372,7 @@ class Core:
             self._writeback(uop, uop.value)
             return
         if uop.is_store:
-            uop.state = UopState.COMPLETED
+            uop.state = _COMPLETED
             uop.complete_cycle = self.cycle
             if self.observers:
                 for observer in self.observers:
@@ -1318,11 +1381,11 @@ class Core:
         self._writeback(uop, uop.result)
 
     def _writeback(self, uop: DynInst, value: int | float | None) -> None:
-        if uop.completed:
+        if uop.state.done:
             return
         if uop.dest_preg is not None:
             self._mark_ready(uop.dest_preg, 0 if value is None else value)
-        uop.state = UopState.COMPLETED
+        uop.state = _COMPLETED
         uop.complete_cycle = self.cycle
         if self.observers:
             for observer in self.observers:
@@ -1336,7 +1399,6 @@ class Core:
     def _resolve_branch(self, uop: DynInst) -> None:
         if uop.resolved:
             return
-        uop.mispredicted = uop.actual_next_pc != uop.predicted_next_pc
         if not self.protection.may_resolve_branch(uop):
             # Resolution-based implicit channel rule: hold the outcome until
             # the predicate untaints (Section III).
@@ -1370,7 +1432,7 @@ class Core:
         if uop.inst.target is not None and uop.actual_taken:
             self.btb.install(uop.pc, uop.inst.target)
         self.protection.on_complete(uop)
-        if uop.mispredicted:
+        if uop.actual_next_pc != uop.predicted_next_pc:
             self.stats.bump("branch_squashes")
             if uop.prediction is not None:
                 self.bpred.repair(uop.prediction, uop.actual_taken)
@@ -1387,14 +1449,15 @@ class Core:
         for uop in self._protected_watch:
             if uop.squashed:
                 continue
-            if not uop.safe and self.protection.output_safe(uop):
-                uop.safe = True
+            tx = uop.tx
+            if not tx.safe and self.protection.output_safe(uop):
+                tx.safe = True
                 self._cycle_activity += 1
                 if self.observers:
                     for observer in self.observers:
                         observer.on_safe(uop, self.cycle)
                 self._on_became_safe(uop)
-            elif not uop.safe:
+            elif not tx.safe:
                 remaining.append(uop)
         self._protected_watch = remaining
 
@@ -1403,15 +1466,16 @@ class Core:
         if uop.is_fp_transmitter:
             self._fp_became_safe(uop)
             return
-        response = uop.obl_response
+        tx = uop.tx
+        response = tx.obl_response
         sq_hit = uop.sq_forward_seq is not None
         success = (response is not None and response.success) or sq_hit
         can_expose = (
-            uop.use_exposure
+            tx.use_exposure
             or uop.sq_forward_seq is not None
             or self._older_loads_done(uop)
         )
-        if uop.obl_state is OblState.DONE:
+        if tx.obl_state is _OBL_DONE:
             # Case 1 ordering: B happened before C.
             if success:
                 self._train_predictor(uop)
@@ -1430,7 +1494,7 @@ class Core:
             # Case 2/3 orderings: C before B.
             if sq_hit:
                 # Data will come (correctly) from the store queue at B.
-                uop.validation_done = True
+                tx.validation_done = True
             elif can_expose and success:
                 # Exposure condition: fill asynchronously, wait for B's data.
                 self._issue_exposure(uop)
@@ -1442,7 +1506,7 @@ class Core:
             # buffer can be forwarded immediately (early forwarding).
             if (
                 self.config.protection.early_forwarding
-                and not uop.completed
+                and not uop.state.done
                 and uop.sq_forward_seq is None
             ):
                 first_success = response.first_success_cycle()
@@ -1455,16 +1519,16 @@ class Core:
         load (it is safe now, so STT imposes no further delay).  Returns the
         number of uops squashed."""
         discarded = self._squash_after(uop.seq, uop.pc + 1)
-        uop.obl_state = OblState.NONE
-        uop.obl_response = None
-        uop.predicted_level = None  # already trained at the safe point
-        uop.pending_squash = False
-        uop.obl_forwarded = False
-        uop.needs_validation = False
-        uop.use_exposure = False
-        uop.validation_done = False
-        uop.validation_complete_cycle = -1
-        uop.state = UopState.WAITING
+        tx = uop.tx
+        tx.obl_state = _OBL_NONE
+        tx.obl_response = None
+        tx.predicted_level = None  # already trained at the safe point
+        tx.pending_squash = False
+        tx.needs_validation = False
+        tx.use_exposure = False
+        tx.validation_done = False
+        tx.validation_complete_cycle = -1
+        uop.state = _WAITING
         uop.issue_cycle = -1
         uop.complete_cycle = -1
         if uop.dest_preg is not None:
@@ -1474,35 +1538,38 @@ class Core:
 
     def _issue_validation(self, uop: DynInst) -> None:
         response = self.hierarchy.validate(uop.addr, self.cycle)
-        uop.validation_complete_cycle = response.complete_at
-        uop.actual_level = uop.actual_level or response.level
+        tx = uop.tx
+        tx.validation_complete_cycle = response.complete_at
+        tx.actual_level = tx.actual_level or response.level
         self._schedule(response.complete_at, "validation_done", uop)
         self.stats.bump("validations_issued")
 
     def _issue_exposure(self, uop: DynInst) -> None:
-        if uop.sq_forward_seq is None and uop.obl_response is not None:
+        tx = uop.tx
+        if uop.sq_forward_seq is None and tx.obl_response is not None:
             self.hierarchy.expose(uop.addr, self.cycle)
-        uop.validation_done = True
+        tx.validation_done = True
         self.stats.bump("exposures_issued")
 
     def _validation_done(self, uop: DynInst) -> None:
         """Event D: the validation's standard access completed."""
-        uop.validation_done = True
+        tx = uop.tx
+        tx.validation_done = True
         current_value = self.speculative_read(uop.addr, uop.seq)
-        if not uop.completed:
+        if not uop.state.done:
             # Case 3 ordering (D before B) or fail-waiting-for-validation:
             # the validation supplies the value.
             self._writeback(uop, current_value)
             self._train_predictor(uop, validated=True)
             return
-        if current_value != uop.value or uop.invalidated_while_inflight:
+        if current_value != uop.value or tx.invalidated_while_inflight:
             # Consistency violation detected by value comparison: squash
             # younger instructions and re-forward the fresh value.
             self.stats.bump("validation_mismatch_squashes")
             uop.value = current_value
             if uop.dest_preg is not None:
                 self._mark_ready(uop.dest_preg, current_value)
-            uop.invalidated_while_inflight = False
+            tx.invalidated_while_inflight = False
             self.stats.bump(
                 "sdo_squashed_uops", self._squash_after(uop.seq, uop.actual_next_pc)
             )
@@ -1510,22 +1577,24 @@ class Core:
     def _train_predictor(self, uop: DynInst, validated: bool = False) -> None:
         if uop.sq_forward_seq is not None:
             return  # SQ-forwarded: the cache level is not ground truth
-        if uop.predicted_level is None:
+        tx = uop.tx
+        if tx.predicted_level is None:
             return  # never predicted, or already trained once
-        if uop.actual_level is not None:
-            self.protection.on_load_outcome(uop, uop.actual_level)
-            uop.predicted_level = None
+        if tx.actual_level is not None:
+            self.protection.on_load_outcome(uop, tx.actual_level)
+            tx.predicted_level = None
 
     def _fp_became_safe(self, uop: DynInst) -> None:
-        if not (uop.fp_predicted_fast and uop.fp_actually_slow):
+        tx = uop.tx
+        if not (tx.fp_predicted_fast and tx.fp_actually_slow):
             return
         # The static "normal operands" prediction failed: squash the
         # dependents and re-execute on the (now untainted) slow path.
         self.stats.bump("fp_fail_squashes")
         self.stats.bump("sdo_squashed_uops", self._squash_after(uop.seq, uop.pc + 1))
-        uop.fp_predicted_fast = False
-        uop.fp_actually_slow = False
-        uop.state = UopState.WAITING
+        tx.fp_predicted_fast = False
+        tx.fp_actually_slow = False
+        uop.state = _WAITING
         uop.issue_cycle = -1
         uop.complete_cycle = -1
         if uop.dest_preg is not None:
@@ -1534,29 +1603,31 @@ class Core:
 
     def _try_issue_fp_transmitter(self, uop: DynInst) -> bool:
         action = self.protection.fp_issue_decision(uop)
-        self.protection.decision_stats.bump(FP_DECISION_COUNTERS[action])
-        if action is FpIssueAction.DELAY:
+        if action is _FP_DELAY:
+            self._n_fp_delays += 1
             uop.delayed_cycles += 1
-            self.stats.bump("fp_delay_cycles")
             self._cycle_delayed_fps.append(uop)
             return False
-        view = self._execute(uop)
+        inst = uop.inst
+        a, b = _operands(self.prf.value, uop)
+        uop.result = inst.opcode.semantics(a, b, inst.imm)
         uop.issue_cycle = self.cycle
-        uop.state = UopState.ISSUED
-        uop.result = view.result
+        uop.state = _ISSUED
         slow = self._fp_operands_slow(uop)
-        if action is FpIssueAction.PREDICT_FAST:
-            uop.fp_predicted_fast = True
-            uop.fp_actually_slow = slow
-            latency = _FP_FAST_LATENCY[uop.inst.opcode]
-            self.stats.bump("fp_predicted_fast")
+        latency = _FP_FAST_LATENCY[inst.opcode.mnemonic]
+        if action is _FP_PREDICT_FAST:
+            self._n_fp_predict_fast += 1
+            tx = uop.tx
+            tx.fp_predicted_fast = True
+            tx.fp_actually_slow = slow
             if slow:
                 self.stats.bump("fp_subnormal_mispredicts")
             self._protected_watch.append(uop)
         else:
-            latency = _FP_FAST_LATENCY[uop.inst.opcode] + (FP_SLOW_EXTRA if slow else 0)
+            self._n_fp_normal += 1
+            if slow:
+                latency += FP_SLOW_EXTRA
         self._schedule(self.cycle + latency, "complete", uop)
-        self.stats.bump("issued")
         if self.observers:
             for observer in self.observers:
                 observer.on_issue(uop, self.cycle)
@@ -1580,7 +1651,7 @@ class Core:
         for uop in squashed:  # youngest first
             uop.squashed = True
             self.iq.pop(uop, None)
-            uop.state = UopState.FETCHED
+            uop.state = _FETCHED
             if uop.dest_preg is not None:
                 self.rename_map.rollback_dest(uop.inst.rd, uop.old_dest_preg)
                 self.prf.free(uop.dest_preg)
@@ -1629,14 +1700,13 @@ class Core:
 
     def _commit(self) -> int:
         width = self.config.core.commit_width
+        entries = self.rob._entries
         committed = 0
-        while width > 0:
-            head = self.rob.head
-            if head is None:
-                break
+        while width > 0 and entries:
+            head = entries[0]
             if not self._commit_ready(head):
                 break
-            self.rob.pop_head()
+            entries.popleft()
             self._do_commit(head)
             committed += 1
             width -= 1
@@ -1645,22 +1715,25 @@ class Core:
     def _commit_ready(self, uop: DynInst) -> bool:
         if uop.is_branch:
             return uop.resolved
-        if not uop.completed:
+        if not uop.state.done:
             return False
+        tx = uop.tx
+        if tx is None:
+            return True
         if uop.is_load:
-            if uop.pending_squash:
+            if tx.pending_squash:
                 # A failed Obl-Ld cannot commit; it will squash at its safe
                 # point.  (It cannot be *correct* to commit a poisoned value.)
                 return False
-            if uop.obl_state is not OblState.NONE and not uop.safe:
+            if tx.obl_state is not _OBL_NONE and not tx.safe:
                 # An Obl-Ld retires only after its address untaints (its
                 # success flag must be checked at the visibility point).
                 return False
-            if uop.needs_validation and not uop.validation_done:
+            if tx.needs_validation and not tx.validation_done:
                 self.stats.bump("validation_stall_cycles")
                 self._cycle_validation_stall = True
                 return False
-        if uop.fp_predicted_fast and not uop.safe:
+        elif tx.fp_predicted_fast and not tx.safe:
             # A fast-predicted FP transmitter retires only once the static
             # "normal operands" prediction has been checked at untaint.
             return False
@@ -1672,27 +1745,27 @@ class Core:
             self.committed.write_mem(uop.addr, uop.store_value)
             self.hierarchy.store(uop.addr, self.cycle)
             self.sq.remove(uop)
-        if uop.is_load:
+        elif uop.is_load:
             self.lq.remove(uop)
         if uop.old_dest_preg is not None and inst.rd != 0:
             self.prf.free(uop.old_dest_preg)
         elif uop.dest_preg is not None and inst.rd == 0:
             self.prf.free(uop.dest_preg)
-        uop.state = UopState.RETIRED
+        uop.state = _RETIRED
         if self.observers:
             for observer in self.observers:
                 observer.on_commit(uop, self.cycle)
         self.protection.on_commit(uop)
-        self.stats.bump("instructions")
+        self._n_instructions += 1
         self._last_commit_cycle = self.cycle
         if self._golden is not None:
             self._check_against_golden(uop)
-        if inst.opcode is Opcode.HALT:
+        if inst.opcode is _HALT:
             self.halted = True
 
     def _check_against_golden(self, uop: DynInst) -> None:
         golden_record = self._golden.step()
-        if golden_record.pc != uop.pc or golden_record.opcode != uop.inst.opcode:
+        if golden_record.pc != uop.pc or golden_record.opcode is not uop.inst.opcode:
             raise GoldenModelMismatch(
                 f"commit stream diverged at #{golden_record.seq}: "
                 f"golden pc={golden_record.pc} {golden_record.opcode}, "

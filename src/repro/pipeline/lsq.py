@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from repro.pipeline.uop import DynInst, UopState
 
+_RETIRED = UopState.RETIRED
+
 
 class StoreQueue:
     """Program-ordered window of in-flight stores."""
@@ -108,7 +110,7 @@ class LoadQueue:
         for u in self._entries:
             if u.seq >= seq:
                 break
-            if not u.completed:
+            if not u.state.done:
                 return False
         return True
 
@@ -117,7 +119,7 @@ class LoadQueue:
         for u in self._entries:
             if u.seq >= seq:
                 break
-            if u.state is not UopState.RETIRED:
+            if u.state is not _RETIRED:
                 return True
         return False
 

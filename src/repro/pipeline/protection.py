@@ -21,7 +21,7 @@ delay-on-miss) in ``repro.baselines``.
 
 The core consumes these decisions through its *issue gate*: every
 :class:`LoadIssueAction` maps to exactly one core-side issue path
-(``Core._LOAD_ISSUE_GATES``), so a new scheme only returns a different
+(``Core._try_issue_load``), so a new scheme only returns a different
 action — it never patches core plumbing.
 """
 
@@ -61,7 +61,14 @@ class IssueDecision:
     predicted_level: MemLevel | None = None  # set iff action is OBLIVIOUS
 
 
-#: Decision-counter names, precomputed so the hot path pays one dict lookup.
+#: The decisions that carry no predicted level, shared: a hook returns one
+#: of these instead of building a new frozen dataclass per issue attempt.
+ISSUE_NORMAL = IssueDecision(LoadIssueAction.NORMAL)
+ISSUE_DELAY = IssueDecision(LoadIssueAction.DELAY)
+ISSUE_BUFFERED = IssueDecision(LoadIssueAction.BUFFERED)
+
+#: Decision-counter names.  The core tallies decisions in plain ints on the
+#: hot path and publishes them under these names when a run ends.
 LOAD_DECISION_COUNTERS = {
     LoadIssueAction.NORMAL: "load_normal",
     LoadIssueAction.OBLIVIOUS: "load_oblivious",
@@ -74,14 +81,17 @@ FP_DECISION_COUNTERS = {
     FpIssueAction.DELAY: "fp_delay",
 }
 
+_FP_NORMAL = FpIssueAction.NORMAL
+
 
 class ProtectionScheme:
     """Base class: the insecure machine.  Subclasses override the hooks.
 
-    Every scheme carries ``decision_stats``, a counter bag the core bumps
-    with the *outcome* of each policy consultation (one bump per issue
-    attempt, so a load delayed for N cycles counts N ``load_delay``
-    decisions — the same convention as ``core.load_delay_cycles``).  The
+    Every scheme carries ``decision_stats``, a counter bag of the
+    *outcome* of each policy consultation (one count per issue attempt, so
+    a load delayed for N cycles counts N ``load_delay`` decisions — the
+    same convention as ``core.load_delay_cycles``).  The core tallies the
+    issue decisions in plain ints and publishes them when a run ends.  The
     counters surface in ``RunMetrics.stats`` under ``protection.decisions.*``
     and let the observability layer attribute issue-stage behaviour to the
     policy without re-deriving it from timing.
@@ -127,10 +137,10 @@ class ProtectionScheme:
     # --- issue policy ---------------------------------------------------- #
 
     def load_issue_decision(self, uop: "DynInst") -> IssueDecision:
-        return IssueDecision(LoadIssueAction.NORMAL)
+        return ISSUE_NORMAL
 
     def fp_issue_decision(self, uop: "DynInst") -> FpIssueAction:
-        return FpIssueAction.NORMAL
+        return _FP_NORMAL
 
     # --- implicit channels ------------------------------------------------ #
 

@@ -83,6 +83,12 @@ class RenameMap:
     def lookup_all(self, archs: tuple[int, ...]) -> tuple[int, ...]:
         """The physical registers ``archs`` map to, in order."""
         mapping = self._map
+        # An instruction reads at most two registers: index them directly
+        # rather than build an iterator per renamed uop.
+        if len(archs) == 2:
+            return (mapping[archs[0]], mapping[archs[1]])
+        if len(archs) == 1:
+            return (mapping[archs[0]],)
         return tuple([mapping[arch] for arch in archs])
 
     def rename_dest(self, arch: int) -> tuple[int, int] | None:

@@ -5,13 +5,17 @@ from __future__ import annotations
 from repro.common.config import AttackModel
 from repro.common.stats import StatGroup
 from repro.pipeline.protection import (
+    ISSUE_DELAY,
+    ISSUE_NORMAL,
     FpIssueAction,
     IssueDecision,
-    LoadIssueAction,
     ProtectionScheme,
 )
 from repro.pipeline.uop import DynInst
 from repro.stt.taint import UntaintFrontier
+
+_FP_NORMAL = FpIssueAction.NORMAL
+_FP_DELAY = FpIssueAction.DELAY
 
 
 class SttProtection(ProtectionScheme):
@@ -67,24 +71,29 @@ class SttProtection(ProtectionScheme):
             return True
         return self._cached_frontier >= root_seq
 
+    # The two queries below inline ``is_root_safe``: the core asks them for
+    # every ready load, FP transmitter and resolving branch.
+
     def sources_tainted(self, uop: DynInst) -> bool:
-        return not self.is_root_safe(uop.src_taint_root)
+        root = uop.src_taint_root
+        return root is not None and self._cached_frontier < root
 
     def output_safe(self, uop: DynInst) -> bool:
         """Event C: the uop's operands (e.g. a load's address) untainted."""
-        return self.is_root_safe(uop.src_taint_root)
+        root = uop.src_taint_root
+        return root is None or self._cached_frontier >= root
 
     # --- issue policy ---------------------------------------------------- #
 
     def load_issue_decision(self, uop: DynInst) -> IssueDecision:
         if self.sources_tainted(uop):
-            return IssueDecision(LoadIssueAction.DELAY)
-        return IssueDecision(LoadIssueAction.NORMAL)
+            return ISSUE_DELAY
+        return ISSUE_NORMAL
 
     def fp_issue_decision(self, uop: DynInst) -> FpIssueAction:
         if self.fp_transmitters and self.sources_tainted(uop):
-            return FpIssueAction.DELAY
-        return FpIssueAction.NORMAL
+            return _FP_DELAY
+        return _FP_NORMAL
 
     # --- implicit channels ------------------------------------------------ #
 

@@ -29,6 +29,10 @@ from repro.common.config import AttackModel
 from repro.pipeline.uop import DynInst, OblState
 
 
+_OBL_NONE = OblState.NONE
+_FUTURISTIC = AttackModel.FUTURISTIC
+
+
 def _branch_finished(uop: DynInst) -> bool:
     return uop.squashed or uop.resolved
 
@@ -36,20 +40,22 @@ def _branch_finished(uop: DynInst) -> bool:
 def _load_finished(uop: DynInst) -> bool:
     if uop.squashed:
         return True
-    if not uop.completed or uop.pending_squash:
+    tx = uop.tx
+    if not uop.state.done or tx.pending_squash:
         return False
-    if uop.needs_validation and not uop.validation_done:
+    if tx.needs_validation and not tx.validation_done:
         return False
     # An Obl-Ld can still fail-squash until its safe point.
-    return uop.obl_state is OblState.NONE or uop.safe
+    return tx.obl_state is _OBL_NONE or tx.safe
 
 
 def _fp_finished(uop: DynInst) -> bool:
     if uop.squashed:
         return True
-    if not uop.completed:
+    if not uop.state.done:
         return False
-    return not uop.fp_predicted_fast or uop.safe
+    tx = uop.tx
+    return not tx.fp_predicted_fast or tx.safe
 
 
 class UntaintFrontier:
@@ -63,7 +69,7 @@ class UntaintFrontier:
         """Called at rename for every potentially squash-capable uop."""
         if uop.is_branch:
             heapq.heappush(self._heap, (uop.seq, uop))
-        elif self.model is AttackModel.FUTURISTIC and (
+        elif self.model is _FUTURISTIC and (
             uop.is_load or uop.is_fp_transmitter
         ):
             heapq.heappush(self._heap, (uop.seq, uop))

@@ -60,7 +60,7 @@ def run_with_window(window_latency_level, predicted_level, table_resident_level)
 
     def record_wait(uop):
         original_wait(uop)
-        if uop.obl_state is OblState.DONE and "B" not in events:
+        if uop.tx.obl_state is OblState.DONE and "B" not in events:
             events["B"] = core.cycle
 
     def record_safe(uop):

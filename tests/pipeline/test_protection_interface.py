@@ -67,11 +67,11 @@ class TestDynInstDefaults:
     def test_fresh_uop_state(self):
         uop = make_load(7)
         assert uop.state is UopState.FETCHED
-        assert uop.obl_state is OblState.NONE
-        assert not uop.safe
+        assert uop.tx.obl_state is OblState.NONE
+        assert not uop.tx.safe
         assert not uop.completed
         assert uop.taint_root is None
-        assert uop.predicted_level is None
+        assert uop.tx.predicted_level is None
 
     def test_passthrough_predicates(self):
         load = make_load()
@@ -80,6 +80,15 @@ class TestDynInstDefaults:
         assert fdiv.is_fp_transmitter
         branch = DynInst(0, 0, Instruction(Opcode.BNE, rs1=1, rs2=2, target=0))
         assert branch.is_branch
+
+    def test_only_transmitters_carry_protection_state(self):
+        assert make_load().tx is not None
+        fdiv = DynInst(0, 0, Instruction(Opcode.FDIV, rd=101, rs1=102, rs2=103))
+        assert fdiv.tx is not None
+        fadd = DynInst(0, 0, Instruction(Opcode.FADD, rd=101, rs1=102, rs2=103))
+        assert fadd.tx is None
+        add = DynInst(0, 0, Instruction(Opcode.ADD, rd=1, rs1=2, rs2=3))
+        assert add.tx is None
 
     def test_completed_property_tracks_state(self):
         uop = make_load()

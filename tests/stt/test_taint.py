@@ -88,9 +88,9 @@ class TestFuturisticFrontier:
         ld = load(7)
         frontier.register(ld)
         ld.state = UopState.COMPLETED
-        ld.obl_state = OblState.DONE
+        ld.tx.obl_state = OblState.DONE
         assert not frontier.is_safe(8)  # could still fail-squash
-        ld.safe = True
+        ld.tx.safe = True
         assert frontier.is_safe(8)
 
     def test_pending_validation_blocks(self):
@@ -100,9 +100,9 @@ class TestFuturisticFrontier:
         ld = load(7)
         frontier.register(ld)
         ld.state = UopState.COMPLETED
-        ld.needs_validation = True
+        ld.tx.needs_validation = True
         assert not frontier.is_safe(8)
-        ld.validation_done = True
+        ld.tx.validation_done = True
         assert frontier.is_safe(8)
 
     def test_pending_squash_blocks(self):
@@ -112,7 +112,7 @@ class TestFuturisticFrontier:
         ld = load(7)
         frontier.register(ld)
         ld.state = UopState.COMPLETED
-        ld.pending_squash = True
+        ld.tx.pending_squash = True
         assert not frontier.is_safe(8)
 
     def test_fast_predicted_fp_blocks_until_safe(self):
@@ -122,9 +122,9 @@ class TestFuturisticFrontier:
         op = fp(9)
         frontier.register(op)
         op.state = UopState.COMPLETED
-        op.fp_predicted_fast = True
+        op.tx.fp_predicted_fast = True
         assert not frontier.is_safe(10)
-        op.safe = True
+        op.tx.safe = True
         assert frontier.is_safe(10)
 
     def test_fp_not_registered_in_spectre(self):
