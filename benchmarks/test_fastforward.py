@@ -4,13 +4,9 @@ A cold pointer chase under STT is the fast-forward's home turf: every load
 is a serial DRAM miss behind a tainted address, so the machine spends the
 overwhelming majority of cycles provably idle.  The benchmark pins the
 skipping path's wall time in ``benchmarks/baseline.json`` (so CI notices if
-the win erodes) and the explicit ratio test enforces the tentpole's >= 2x
-claim against the naive loop directly.
+the win erodes), and the ratio test requires the skipping loop to step at
+least 5x fewer cycles than the naive loop, with bit-identical metrics.
 """
-
-import time
-
-import pytest
 
 from repro.common import AttackModel
 from repro.pipeline.core import Core
@@ -36,27 +32,32 @@ def test_fastforward_dram_bound(benchmark):
     assert metrics.instructions > 1000
 
 
-def test_fastforward_speedup_at_least_2x(monkeypatch):
-    """The tentpole acceptance bar: >= 2x over the naive loop on
-    DRAM-latency-bound work, measured in-process back to back."""
+def test_fastforward_steps_at_least_5x_fewer_cycles(monkeypatch):
+    """The skipping loop steps at most a fifth of the cycles the naive loop
+    steps, with the same result.  Counted, not timed: the wall-clock ratio
+    swings with the host and with how cheap an idle step is, while the
+    stepped-cycle count is a pure function of the simulation.  At the time
+    of writing the chase steps 12,339 of 78,705 cycles (6.4x fewer)."""
+    cores = []
+    run = Core.run
 
-    def timed(fast_forward: bool) -> tuple[float, object]:
-        monkeypatch.setattr(Core, "fast_forward", fast_forward)
-        best = float("inf")
-        for _ in range(2):
-            start = time.perf_counter()
-            metrics = execute(_REQUEST)
-            best = min(best, time.perf_counter() - start)
-        return best, metrics
+    def recording_run(core, *args, **kwargs):
+        cores.append(core)
+        return run(core, *args, **kwargs)
 
-    naive_time, naive_metrics = timed(False)
-    fast_time, fast_metrics = timed(True)
+    monkeypatch.setattr(Core, "run", recording_run)
+    monkeypatch.setattr(Core, "fast_forward", False)
+    naive_metrics = execute(_REQUEST)
+    monkeypatch.setattr(Core, "fast_forward", True)
+    fast_metrics = execute(_REQUEST)
     # Same simulation either way…
     assert fast_metrics.cycles == naive_metrics.cycles
     assert fast_metrics.stats == naive_metrics.stats
-    # …at least twice as fast with skipping.
-    speedup = naive_time / fast_time
-    assert speedup >= 2.0, (
-        f"fast-forward speedup {speedup:.2f}x < 2x on a DRAM-bound chase "
-        f"(naive {naive_time:.3f}s, skipping {fast_time:.3f}s)"
+    # …stepping at least 5x fewer cycles with skipping.
+    naive, fast = cores
+    assert naive.ff_skipped_cycles == 0
+    stepped = fast.cycle - fast.ff_skipped_cycles
+    assert naive.cycle >= 5 * stepped, (
+        f"fast-forward stepped {stepped} of {naive.cycle} cycles "
+        f"({naive.cycle / stepped:.2f}x fewer, want >= 5x) on a DRAM-bound chase"
     )

@@ -21,7 +21,7 @@ Commands:
                  proxy for resilience drills.  Submit to a fabric with
                  ``sweep --fabric http://host:8700``.
 * ``lint``     — run the sdolint invariant checkers (oblivious-timing,
-                 stat-key, determinism, cache-schema, event-schema)
+                 stat-key, determinism, event-schema)
                  against the committed ratchet baseline
 * ``scan``     — run the static speculative-taint gadget scanner over
                  the bundled corpus (and any extra program JSON files)

@@ -10,8 +10,8 @@ payloads, and events are :class:`~repro.sim.events.RunEvent` dicts.
 ``WIRE_SCHEMA_VERSION`` stamps every envelope.  The rule mirrors the
 event schema: additive changes keep the version (readers ignore unknown
 keys), incompatible changes bump it, and a reader refuses a *newer* stamp
-than its own.  The sdolint ``cache-schema`` checker pins the serialized
-field sets of the policies and outcome envelope so a drive-by field rename
+than its own.  ``tests/sim/test_wire_pin.py`` fails when a serialized
+field set or byte pin moves without its bump, so a drive-by field rename
 cannot silently fork the protocol.
 """
 

@@ -5,9 +5,8 @@ but Python cannot express in types: data-oblivious code must not let
 operand data reach timing decisions (``oblivious-timing``), the stat-key
 namespace must be statically knowable and consistent with the golden
 fixture (``stat-key``), the simulation core must stay deterministic
-(``determinism``), the result-cache schema must not drift without a
-version bump (``cache-schema``), and the run-event vocabulary must stay
-closed (``event-schema``).
+(``determinism``), and the run-event vocabulary must stay closed
+(``event-schema``).
 
 Entry points: ``repro lint`` (see :mod:`repro.lint.cli`) or
 :func:`repro.lint.engine.run_lint` programmatically.  Findings ratchet

@@ -10,7 +10,6 @@ from __future__ import annotations
 from typing import Callable, Iterable
 
 from repro.lint.checkers import (
-    cache_schema,
     determinism,
     event_schema,
     oblivious_timing,
@@ -19,7 +18,7 @@ from repro.lint.checkers import (
 from repro.lint.context import LintContext
 from repro.lint.findings import Finding
 
-_MODULES = (oblivious_timing, stat_key, determinism, cache_schema, event_schema)
+_MODULES = (oblivious_timing, stat_key, determinism, event_schema)
 
 CHECKERS: dict[str, Callable[[LintContext], Iterable[Finding]]] = {
     module.CHECKER_ID: module.run for module in _MODULES

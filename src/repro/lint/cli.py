@@ -15,7 +15,6 @@ from typing import TextIO
 
 from repro.lint.baseline import BASELINE_NAME, Baseline
 from repro.lint.checkers import CHECKERS
-from repro.lint.checkers.cache_schema import write_fingerprint
 from repro.lint.engine import LintResult, load_context, run_lint
 from repro.lint.findings import ERROR
 
@@ -50,11 +49,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--show-baselined", action="store_true",
         help="also print findings already covered by the baseline",
-    )
-    parser.add_argument(
-        "--update-fingerprints", action="store_true",
-        help="refresh the cache-schema fingerprint pin (do this AFTER "
-             "bumping SCHEMA_VERSION) and exit",
     )
 
 
@@ -103,11 +97,6 @@ def run_lint_command(args, out: TextIO | None = None) -> int:
     out = out if out is not None else sys.stdout
     root = _detect_root(args.root)
     ctx = load_context(root, [Path(p) for p in args.paths] or None)
-
-    if args.update_fingerprints:
-        path = write_fingerprint(ctx)
-        out.write(f"cache-schema fingerprint written to {path}\n")
-        return 0
 
     baseline_path = Path(args.baseline) if args.baseline else root / BASELINE_NAME
     select = (

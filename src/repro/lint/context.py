@@ -19,12 +19,9 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from repro.lint.source import SourceFile
-
-_CONST_NAME = r"caps-with-optional-leading-underscore"
-
 
 def _is_const_name(name: str) -> bool:
     stripped = name.lstrip("_")
@@ -91,12 +88,6 @@ class LintContext:
 
     def file(self, rel: str) -> SourceFile | None:
         return self._by_rel.get(rel)
-
-    def files_matching(self, suffix: str) -> Iterator[SourceFile]:
-        """Files whose repo-relative path ends with ``suffix``."""
-        for source in self.files:
-            if source.rel.endswith(suffix):
-                yield source
 
     @property
     def key_constants(self) -> dict[str, tuple[str, ...]]:

@@ -23,9 +23,9 @@ This package exploits that:
   never feeds the timing model — falling back to live execution whenever
   the trace is missing, torn, or too short.
 
-The trace schema is pinned by sdolint's ``cache-schema`` checker with its
-own version-bump rule (``TRACE_SCHEMA_VERSION``), mirroring the result
-cache and fabric wire schemas.
+The trace schema has its own version-bump rule (``TRACE_SCHEMA_VERSION``),
+mirroring the result cache and fabric wire schemas; ``tests/sim/test_wire_pin.py``
+pins every generated request's ``trace_key`` and fails on a drift without it.
 """
 
 from repro.replay.recorder import TraceRecorder, record_trace

@@ -26,10 +26,10 @@ falls back to live execution rather than verifying against garbage.
 Opcodes are stored by name through a per-trace table, so the format
 survives opcode-set evolution (an unknown name simply can never match).
 
-``TRACE_SCHEMA_VERSION`` follows the result-cache/wire-schema rule, pinned
-by sdolint's ``cache-schema`` checker: any change to the record layout or
-the :func:`trace_key` material must bump it (old traces become unreadable
-misses instead of wrong answers).
+``TRACE_SCHEMA_VERSION`` follows the result-cache/wire-schema rule: any
+change to the record layout or the :func:`trace_key` material must bump it
+(old traces become unreadable misses instead of wrong answers), and the
+wire-pin test fails on a :func:`trace_key` change without the bump.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ if TYPE_CHECKING:
     from repro.sim.api import RunRequest
 
 #: Bump whenever the record layout, header, or :func:`trace_key` material
-#: changes — pinned by the sdolint ``cache-schema`` checker (trace section).
+#: changes — the wire-pin test pins every generated request's ``trace_key``.
 #: v2: the key material is the program ``digest``, not canonicalized lists.
 TRACE_SCHEMA_VERSION = 2
 

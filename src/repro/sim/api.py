@@ -625,23 +625,16 @@ class Session:
 
 
 def _rebrand(outcome: RunOutcome, request: RunRequest) -> RunOutcome:
-    """Stamp a stored outcome with the request's identity fields.
+    """Stamp a stored outcome with the request's workload name.
 
     The cache, the journal and the fabric's artifact store are all
-    content-addressed on the *semantic* inputs (program, warm set,
-    configs…), so a renamed but otherwise identical workload hits the same
-    entry; the names on the returned metrics or failure must come from the
-    request, not from whoever stored it.
+    content-addressed on the *semantic* inputs, which leave out the
+    workload's name and description.  A renamed but otherwise identical
+    workload hits the same entry, so the workload name on the returned
+    metrics or failure must come from the request, not from whoever stored
+    it.  The config (its name included) and the attack model are in the
+    key, so a hit already carries the request's.
     """
-    if (
-        outcome.workload == request.workload.name
-        and outcome.config == request.config.name
-        and outcome.attack_model is request.attack_model
-    ):
+    if outcome.workload == request.workload.name:
         return outcome
-    return replace(
-        outcome,
-        workload=request.workload.name,
-        config=request.config.name,
-        attack_model=request.attack_model,
-    )
+    return replace(outcome, workload=request.workload.name)

@@ -4,9 +4,9 @@ Simulation is a pure function of a :class:`~repro.sim.api.RunRequest`, so a
 result can be reused whenever the *semantic* inputs match: the workload's
 program (its content digest) and warm set, the Table II configuration, the
 attack model, the machine, and the run limits.  :func:`cache_key` folds
-exactly those into a SHA-256 hex digest; names and descriptions are
-deliberately excluded, so a renamed but otherwise identical workload still
-hits.
+exactly those into a SHA-256 hex digest.  The workload's name and
+description are deliberately excluded, so a renamed but otherwise
+identical workload still hits; the configuration's are not.
 
 Entries live under ``<root>/v<SCHEMA_VERSION>/<key[:2]>/<key>.json`` and
 hold the serialized metrics with a CRC-32 of their canonical JSON.
@@ -19,8 +19,6 @@ always be rebuilt by re-running.
 
 from __future__ import annotations
 
-import dataclasses
-import enum
 import hashlib
 import json
 from pathlib import Path
@@ -41,28 +39,9 @@ from repro.sim.api import (
 #: v3: entries carry a ``crc32`` of the canonical metrics JSON, checked on
 #: read (a v2 entry with a flipped digit was served as truth).
 #: v4: the program enters the key as ``Program.digest``, not as JSON lists.
-SCHEMA_VERSION = 4
-
-
-def _canonical(obj: object) -> object:
-    """Reduce configs to a JSON-stable structure.
-
-    Dataclasses become ``{field: value}`` (non-compare fields are skipped)
-    and enums become their names.
-    """
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {
-            f.name: _canonical(getattr(obj, f.name))
-            for f in dataclasses.fields(obj)
-            if f.compare
-        }
-    if isinstance(obj, enum.Enum):
-        return obj.name
-    if isinstance(obj, (list, tuple)):
-        return [_canonical(item) for item in obj]
-    if obj is None or isinstance(obj, (str, int, float, bool)):
-        return obj
-    raise TypeError(f"cannot canonicalize {type(obj).__name__} for cache key")
+#: v5: the config, machine and attack model enter as their wire form
+#: (``to_dict()``, enums by value), not a second encoding with enums by name.
+SCHEMA_VERSION = 5
 
 
 def cache_key(request: RunRequest) -> str:
@@ -79,9 +58,9 @@ def cache_key(request: RunRequest) -> str:
         "program": request.workload.program.digest,
         "warm_addresses": request.workload.warm_addresses,
         "max_cycles": request.workload.max_cycles,
-        "config": _canonical(request.config),
-        "attack_model": request.attack_model.name,
-        "machine": _canonical(request.machine),
+        "config": request.config.to_dict(),
+        "attack_model": request.attack_model.value,
+        "machine": request.machine.to_dict(),
         "check_golden": request.check_golden,
         "max_instructions": request.max_instructions,
     }
@@ -103,8 +82,8 @@ class ResultCache:
     def get(self, request: RunRequest) -> RunMetrics | None:
         """The cached metrics for ``request``, or ``None`` on a miss.
 
-        Identity fields (workload/config names, attack model) are taken from
-        the request, since the key ignores them.
+        The workload name is taken from the request, since the key ignores
+        it (the config and attack model are part of the key).
         """
         metrics = self.get_key(cache_key(request))
         if metrics is None:

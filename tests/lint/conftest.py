@@ -2,8 +2,7 @@
 
 ``make_ctx`` builds a :class:`LintContext` from an in-memory mapping of
 repo-relative paths to source text, materialized under ``tmp_path`` so
-checkers that read non-Python files (golden fixture, fingerprint pin) see
-a real tree.
+checkers that read non-Python files (the golden fixture) see a real tree.
 """
 
 from __future__ import annotations

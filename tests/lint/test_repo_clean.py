@@ -37,6 +37,6 @@ def test_stat_keys_have_no_errors(repo_ctx):
 
 
 def test_schema_checkers_are_clean(repo_ctx):
-    result = run_lint(repo_ctx, Baseline(), select=["cache-schema", "event-schema"])
+    result = run_lint(repo_ctx, Baseline(), select=["event-schema"])
     errors = [f for f in result.findings if f.severity == ERROR]
     assert errors == [], "\n".join(f.render() for f in errors)

@@ -71,6 +71,10 @@ class TestCacheKey:
         base = cache_key(make_request())
         variations = {
             "config": make_request(config=config_by_name("Perfect")),
+            # Unlike the workload's, the config's name is part of the key.
+            "config_name": make_request(
+                config=dataclasses.replace(config_by_name("Hybrid"), name="Hybrid2")
+            ),
             "attack_model": make_request(attack_model=AttackModel.FUTURISTIC),
             "check_golden": make_request(check_golden=False),
             "max_instructions": make_request(max_instructions=100_000),
