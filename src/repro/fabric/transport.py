@@ -416,15 +416,3 @@ def _retry_after_seconds(headers: dict) -> float:
     except (TypeError, ValueError):
         return 0.0
 
-
-def make_transport(
-    url: str,
-    *,
-    timeout: float = 10.0,
-    policy: TransportPolicy | None = None,
-    sleep=time.sleep,
-) -> _JsonCalls:
-    """The transport a fabric peer should use: retrying by default; a
-    ``TransportPolicy(retries=0, breaker_threshold=0)`` degenerates to the
-    raw single-shot behaviour (the chaos gate's negative control)."""
-    return RetryingTransport(url, timeout=timeout, policy=policy, sleep=sleep)

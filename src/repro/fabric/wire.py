@@ -7,12 +7,14 @@ travels whole (program, warm set, machine, limits), outcomes travel as
 tagged :class:`~repro.sim.api.RunMetrics` / :class:`~repro.sim.api.RunFailure`
 payloads, and events are :class:`~repro.sim.events.RunEvent` dicts.
 
-``WIRE_SCHEMA_VERSION`` stamps every envelope.  The rule mirrors the
-event schema: additive changes keep the version (readers ignore unknown
-keys), incompatible changes bump it, and a reader refuses a *newer* stamp
-than its own.  ``tests/sim/test_wire_pin.py`` fails when a serialized
-field set or byte pin moves without its bump, so a drive-by field rename
-cannot silently fork the protocol.
+``WIRE_SCHEMA_VERSION`` stamps every envelope.  The rule:
+
+* every change to a serialized field set (a field added, removed or
+  renamed) bumps the version — ``tests/sim/test_wire_pin.py``
+  fails when a field set or byte pin moves without its bump, so a
+  drive-by field rename cannot silently fork the protocol;
+* readers still ignore keys they do not know, so an older stamp decodes;
+* a reader refuses a *newer* stamp than its own.
 """
 
 from __future__ import annotations
@@ -20,9 +22,8 @@ from __future__ import annotations
 from repro.common.durable import payload_crc32 as payload_crc32  # artifact checksum
 from repro.sim.api import RunFailure, RunMetrics, RunOutcome
 
-#: Bump on incompatible wire changes (renamed/retyped fields, changed
-#: endpoint semantics).  Additive evolution — new optional fields, new
-#: endpoints — keeps the version.
+#: Bump on every serialized field-set change (added fields included) and
+#: on changed endpoint semantics; the wire-pin test enforces the former.
 #: v2: ExecutionPolicy gained the ``replay`` field (record-once/replay-many
 #: execution backend); old decoders default it to False.
 #: v3: the chaos-hardening release — completion envelopes grew idempotency
@@ -50,7 +51,7 @@ def check_schema(payload: dict, *, what: str = "payload") -> None:
 
     Missing stamps are accepted (same-version peers omit none, but a
     hand-built test payload may), and older stamps are accepted because
-    evolution within a version is additive.
+    readers ignore keys they do not know.
     """
     schema = payload.get("schema", WIRE_SCHEMA_VERSION)
     if not isinstance(schema, int) or schema > WIRE_SCHEMA_VERSION:

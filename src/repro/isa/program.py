@@ -108,10 +108,3 @@ class Program:
             name=payload.get("name", "anonymous"),
         )
 
-    def listing(self) -> str:
-        """Human-readable disassembly."""
-        lines = []
-        for pc, inst in enumerate(self.instructions):
-            label = f"{inst.label}:" if inst.label else ""
-            lines.append(f"{label:>12} {pc:4d}  {inst}")
-        return "\n".join(lines)

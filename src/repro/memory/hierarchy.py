@@ -44,7 +44,7 @@ from repro.common.stats import StatGroup
 from repro.memory.cache import CacheArray
 from repro.memory.coherence import Directory
 from repro.memory.dram import Dram
-from repro.memory.interconnect import Mesh, slice_node, slice_of_line
+from repro.memory.interconnect import Mesh, lines_by_slice, slice_node, slice_of_line
 from repro.memory.mshr import MshrFile
 from repro.memory.observer import ResourceObserver
 from repro.memory.tlb import Tlb
@@ -95,9 +95,6 @@ class _BankSet:
         for bank in range(len(self._free_at)):
             self._free_at[bank] = start + duration
         return start
-
-    def free_at(self, bank: int) -> int:
-        return self._free_at[bank]
 
 
 class _PortScheduler:
@@ -663,25 +660,34 @@ class MemoryHierarchy:
         model — warm-up happens "before time zero", so it must not leave
         bank/port/MSHR residue that would skew the measured run.
 
-        Each array's state depends only on the order of its own fills, so
-        the arrays are filled one after another (each in one batched pass,
-        L3 lines bucketed per slice in warm-up order) and the TLB last;
-        the result equals filling L1, L2 and L3 and touching the TLB per
-        address.
+        The result equals filling L1 (dirty iff ``write``), L2 and the L3
+        slice and touching the TLB per address.  An empty array or TLB
+        takes that final state directly (see
+        :meth:`~repro.memory.cache.CacheArray.install_recent`): by the LRU
+        stack property each set ends with its ``assoc`` most recently used
+        distinct lines, so only the distinct lines in last-use order
+        matter, computed once here.  An array that already holds lines
+        (whose dirty bits and LRU order interact with the stream) replays
+        the fills in order instead.
         """
         addrs = list(addrs)
         line_size = self.config.line_size
         lines = [addr // line_size for addr in addrs]
-        self.l1.array.fill_many(lines, dirty=write)
-        self.l2.array.fill_many(lines)
-        num_slices = self.config.l3.slices
-        per_slice: list[list[int]] = [[] for _ in range(num_slices)]
-        for line in lines:
-            per_slice[slice_of_line(line, num_slices)].append(line)
-        for slice_level, slice_lines in zip(self.l3_slices, per_slice):
-            slice_level.array.fill_many(slice_lines)
-        access = self.tlb.access
-        for addr in addrs:
-            access(addr)
+        recent = list(dict.fromkeys(reversed(lines)))
+        for array, dirty in ((self.l1.array, write), (self.l2.array, False)):
+            if array.is_empty():
+                array.install_recent(recent, dirty)
+            else:
+                array.fill_many(lines, dirty)
+        slices = [level.array for level in self.l3_slices]
+        if all(array.is_empty() for array in slices):
+            per_slice = lines_by_slice(recent, len(slices))
+            for array, slice_recent in zip(slices, per_slice, strict=True):
+                array.install_recent(slice_recent)
+        else:
+            per_slice = lines_by_slice(lines, len(slices))
+            for array, slice_lines in zip(slices, per_slice, strict=True):
+                array.fill_many(slice_lines)
+        self.tlb.warm(addrs)
         self.tlb.hits = 0
         self.tlb.misses = 0

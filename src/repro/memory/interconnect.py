@@ -16,6 +16,8 @@ Two properties matter to SDO:
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 
 class Mesh:
     """An ``nx x ny`` mesh with X-Y routing."""
@@ -79,6 +81,59 @@ def slice_of_line(line: int, num_slices: int) -> int:
         folded ^= line % num_slices
         line //= num_slices
     return folded % num_slices
+
+
+#: Upper bound on a fold table's entries (a power of the slice count).
+_FOLD_TABLE_MAX = 4096
+
+
+@lru_cache(maxsize=8)
+def slice_fold_table(num_slices: int) -> tuple[int, tuple[int, ...]]:
+    """``(radix, table)`` for bucketing lines per slice (``num_slices > 1``).
+
+    ``radix`` is the largest power of ``num_slices`` not above 4096 (at
+    least ``num_slices``), and ``table[low]`` is the XOR of the base-
+    ``num_slices`` digits of ``low < radix``, before the final reduction.
+    A power-of-two count's digits are the bit fields ``slice_of_line``
+    folds, so one table form serves both of its branches.
+    """
+    radix = num_slices
+    while radix * num_slices <= _FOLD_TABLE_MAX:
+        radix *= num_slices
+    table = [0] * radix
+    for low in range(1, radix):
+        table[low] = table[low // num_slices] ^ (low % num_slices)
+    return radix, tuple(table)
+
+
+def lines_by_slice(lines, num_slices: int) -> list[list[int]]:
+    """``lines`` split per L3 slice, each bucket in the order given.
+
+    Bucket ``s`` holds the lines with ``slice_of_line(line, num_slices)
+    == s``.  The digit fold is an XOR, so it splits at any digit boundary:
+    a line's fold is the table entry of its low digits XOR'd with the
+    fold of its high part, memoized (a warm set is dense, so it has few
+    distinct high parts), instead of a digit loop per line.
+    """
+    buckets: list[list[int]] = [[] for _ in range(num_slices)]
+    if num_slices == 1:
+        buckets[0].extend(lines)
+        return buckets
+    radix, table = slice_fold_table(num_slices)
+    appends = [bucket.append for bucket in buckets]
+    high_folds: dict[int, int] = {}
+    for line in lines:
+        high = line // radix
+        high_fold = high_folds.get(high)
+        if high_fold is None:
+            high_fold = 0
+            rest = high
+            while rest:
+                high_fold ^= table[rest % radix]
+                rest //= radix
+            high_folds[high] = high_fold
+        appends[(table[line % radix] ^ high_fold) % num_slices](line)
+    return buckets
 
 
 def slice_node(slice_index: int, mesh: Mesh) -> int:

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.common.config import MachineConfig
-from repro.isa.iss import ArchState
 from repro.memory.coherence import Directory
 from repro.memory.hierarchy import MemoryHierarchy
 
@@ -103,7 +102,3 @@ class SharedMemorySystem:
                 target.hierarchy.external_invalidate(addr)
         hierarchy.store(addr, now)
         return result.invalidated_cores
-
-    def snapshot_memory(self) -> ArchState:
-        """Committed architectural memory view (for assertions in tests)."""
-        return ArchState(memory=dict(self.shared_memory))

@@ -59,6 +59,30 @@ class Tlb:
         entries[page] = None
         return False, self.config.walk_latency
 
+    def warm(self, addrs) -> None:
+        """Leave the entries that ``access`` over ``addrs`` in order would.
+
+        An empty TLB takes that final state directly: by the LRU stack
+        property each set holds its ``assoc`` most recently used distinct
+        pages, in last-use order.  A TLB holding entries replays the
+        accesses.  Either way the hit/miss counts are the caller's to
+        reset.
+        """
+        if any(self._sets):
+            access = self.access
+            for addr in addrs:
+                access(addr)
+            return
+        page_size = self.config.page_size
+        assoc = self.config.assoc
+        num_sets = self.num_sets
+        newest_first: list[list[int]] = [[] for _ in range(num_sets)]
+        for page in dict.fromkeys([addr // page_size for addr in reversed(addrs)]):
+            entries = newest_first[page % num_sets]
+            if len(entries) < assoc:
+                entries.append(page)
+        self._sets = [OrderedDict.fromkeys(reversed(pages)) for pages in newest_first]
+
     def flush(self) -> None:
         for entries in self._sets:
             entries.clear()

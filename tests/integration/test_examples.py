@@ -53,7 +53,9 @@ def test_anatomy_of_overhead(monkeypatch, capsys):
 @pytest.mark.slow
 def test_reproduce_paper_quick(monkeypatch, capsys, tmp_path):
     """The full harness at a tiny scale: exercises argument parsing, the
-    sweep loop, every figure builder, and CSV output."""
+    sweep loop, every figure builder, and CSV output.  ``--no-cache`` makes
+    it simulate every cell instead of serving a result cache left in the
+    working directory by an earlier run (and keeps it from writing one)."""
     import repro.workloads as workloads_module
 
     full_suite = workloads_module.suite
@@ -65,7 +67,7 @@ def test_reproduce_paper_quick(monkeypatch, capsys, tmp_path):
 
     monkeypatch.setattr("repro.workloads.suite", tiny_suite)
     monkeypatch.setattr(
-        sys, "argv", ["reproduce_paper.py", "--quick", "--out", str(tmp_path)]
+        sys, "argv", ["reproduce_paper.py", "--quick", "--no-cache", "--out", str(tmp_path)]
     )
     # run_path re-imports; patch at the module the script imports from.
     import repro.workloads
