@@ -37,6 +37,8 @@ BENCHMARK = REPO_ROOT / "BENCHMARK.json"
 #: Per-layer metrics copied from the seed-1 traced run of each side: the
 #: core's per-step cost, a cell's fixed cost (machine build, warm-up, pool
 #: settling), and the simulated work, which must not move.
+#: ``protection.hook_calls`` counts the calls into hooks the scheme defines:
+#: the core never calls a lifecycle hook a scheme inherits as a no-op.
 TRACED_METRICS = (
     "core.us_per_step",
     "core.step_self_s",

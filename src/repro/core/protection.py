@@ -31,6 +31,8 @@ from repro.stt.protection import SttProtection
 
 _DRAM = MemLevel.DRAM
 _OBLIVIOUS = LoadIssueAction.OBLIVIOUS
+#: The oblivious-issue decision per predicted level, built once.
+_OBLIVIOUS_AT = {level: IssueDecision(_OBLIVIOUS, predicted_level=level) for level in MemLevel}
 _FP_NORMAL = FpIssueAction.NORMAL
 _FP_PREDICT_FAST = FpIssueAction.PREDICT_FAST
 
@@ -64,7 +66,7 @@ class SdoProtection(SttProtection):
             # Section VI-B2: predicting DRAM means reverting to STT's
             # default protection for this load — delay, don't squash.
             return ISSUE_DELAY
-        return IssueDecision(_OBLIVIOUS, predicted_level=level)
+        return _OBLIVIOUS_AT[level]
 
     def _predict_for(self, uop: DynInst) -> None:
         actual = self.core.hierarchy.residence_level(uop.addr)

@@ -19,14 +19,13 @@ presence/recency/dirtiness, which is all the timing and security models need.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.common.config import CacheConfig
 
 
-@dataclass(frozen=True)
-class EvictedLine:
-    """A victim pushed out by a fill."""
+class EvictedLine(NamedTuple):
+    """A victim pushed out by a fill (an immutable tuple)."""
 
     line: int
     dirty: bool
@@ -40,10 +39,13 @@ class CacheArray:
     thousands of sets, and most runs touch a small fraction of them.
 
     :meth:`install_recent` (the warm-up of an empty array) leaves its sets
-    *pending*: a plain list of lines per set, turned into the set's
-    ``OrderedDict`` the first time ``probe``, ``access``, ``fill``,
-    ``invalidate`` or ``is_dirty`` reaches it.  The pending check sits on
-    the ``None`` branch only, so an allocated set pays nothing for it.
+    *pending*, turned into the set's ``OrderedDict`` the first time
+    ``probe``, ``access``, ``fill``, ``invalidate`` or ``is_dirty`` reaches
+    it.  The pending check sits on the ``None`` branch only, so an
+    allocated set pays nothing for it.  Pending lines live in one flat
+    list, ``assoc`` slots per set, with a list of per-set counts: a
+    warm-up allocates no container per set, so it sets off no cyclic
+    garbage collection however many sets it fills.
     """
 
     def __init__(self, config: CacheConfig) -> None:
@@ -54,9 +56,13 @@ class CacheArray:
         # (OrderedDict, least recently used first); None while empty or
         # pending.
         self._sets: list[OrderedDict[int, bool] | None] = [None] * self.num_sets
-        # Pending sets from install_recent: set index -> its lines, most
-        # recently used first, all with dirty flag ``_pending_dirty``.
-        self._pending: dict[int, list[int]] = {}
+        # Pending sets from install_recent: set ``i`` holds
+        # ``_pending_count[i]`` lines at ``_pending_lines[i * assoc:]``, most
+        # recently used first, all with dirty flag ``_pending_dirty``;
+        # ``_pending_sets`` counts the sets with any.
+        self._pending_lines: list[int] = []
+        self._pending_count: list[int] = []
+        self._pending_sets = 0
         self._pending_dirty = False
 
     def set_index(self, line: int) -> int:
@@ -67,24 +73,33 @@ class CacheArray:
         all-banks rule of Section VI-B2 closes."""
         return line % self.config.banks
 
+    def _pending_of(self, index: int) -> list[int]:
+        """Pending set ``index``'s lines, most recently used first."""
+        base = index * self.assoc
+        return self._pending_lines[base : base + self._pending_count[index]]
+
     def _materialize(self, index: int) -> OrderedDict[int, bool] | None:
         """Build pending set ``index``'s ``OrderedDict`` (None if the set
         is not pending)."""
-        newest_first = self._pending.pop(index, None)
-        if newest_first is None:
+        if not self._pending_count[index]:
             return None
+        newest_first = self._pending_of(index)
+        self._pending_count[index] = 0
+        self._pending_sets -= 1
         target_set = self._sets[index] = OrderedDict.fromkeys(
             reversed(newest_first), self._pending_dirty
         )
         return target_set
 
     def _materialize_all(self) -> None:
-        for index in list(self._pending):
-            self._materialize(index)
+        if self._pending_sets:
+            for index, count in enumerate(self._pending_count):
+                if count:
+                    self._materialize(index)
 
     def is_empty(self) -> bool:
         """True while no set has ever been filled (or since a flush)."""
-        return not self._pending and self._sets.count(None) == self.num_sets
+        return not self._pending_sets and self._sets.count(None) == self.num_sets
 
     def install_recent(self, recent, dirty: bool = False) -> None:
         """Warm an *empty* array: ``recent`` lists distinct lines, most
@@ -102,28 +117,30 @@ class CacheArray:
             raise ValueError("install_recent needs an empty array")
         num_sets = self.num_sets
         assoc = self.assoc
-        pending = self._pending
-        full = 0
+        lines = self._pending_lines = [0] * (num_sets * assoc)
+        counts = self._pending_count = [0] * num_sets
+        pending_sets = full = 0
         for line in recent:
             index = line % num_sets
-            newest_first = pending.get(index)
-            if newest_first is None:
-                newest_first = pending[index] = [line]
-            elif len(newest_first) < assoc:
-                newest_first.append(line)
-            else:
+            count = counts[index]
+            if count == assoc:
                 continue
-            if len(newest_first) == assoc:
+            lines[index * assoc + count] = line
+            counts[index] = count = count + 1
+            if count == 1:
+                pending_sets += 1
+            if count == assoc:
                 full += 1
                 if full == num_sets:
                     break
+        self._pending_sets = pending_sets
         self._pending_dirty = dirty
 
     def probe(self, line: int) -> bool:
         """Presence check with no state change (the DO lookup)."""
         index = line % self.num_sets
         target_set = self._sets[index]
-        if target_set is None and self._pending:
+        if target_set is None and self._pending_sets:
             target_set = self._materialize(index)
         return target_set is not None and line in target_set
 
@@ -138,7 +155,7 @@ class CacheArray:
         """
         index = line % self.num_sets
         target_set = self._sets[index]
-        if target_set is None and self._pending:
+        if target_set is None and self._pending_sets:
             target_set = self._materialize(index)
         if target_set is not None and line in target_set:
             dirty = target_set.pop(line) or write
@@ -159,7 +176,7 @@ class CacheArray:
         """Insert a line (used for fills coming back from lower levels)."""
         index = line % self.num_sets
         target_set = self._sets[index]
-        if target_set is None and self._pending:
+        if target_set is None and self._pending_sets:
             target_set = self._materialize(index)
         if target_set is None:
             target_set = self._sets[index] = OrderedDict()
@@ -203,7 +220,7 @@ class CacheArray:
         """Remove a line (coherence invalidation). Returns True if present."""
         index = line % self.num_sets
         target_set = self._sets[index]
-        if target_set is None and self._pending:
+        if target_set is None and self._pending_sets:
             target_set = self._materialize(index)
         if target_set is not None and line in target_set:
             del target_set[line]
@@ -213,7 +230,7 @@ class CacheArray:
     def is_dirty(self, line: int) -> bool:
         index = line % self.num_sets
         target_set = self._sets[index]
-        if target_set is None and self._pending:
+        if target_set is None and self._pending_sets:
             target_set = self._materialize(index)
         return target_set is not None and target_set.get(line, False)
 
@@ -221,27 +238,31 @@ class CacheArray:
         """Set ``index``'s ``(line, dirty)`` items, least recently used
         first (test/diagnostic helper; materializes a pending set)."""
         target_set = self._sets[index]
-        if target_set is None and self._pending:
+        if target_set is None and self._pending_sets:
             target_set = self._materialize(index)
         return list(target_set.items()) if target_set is not None else []
 
     def resident_lines(self) -> set[int]:
         """All lines currently present (test/diagnostic helper)."""
         lines: set[int] = set()
-        for newest_first in self._pending.values():
-            lines.update(newest_first)
+        if self._pending_sets:
+            for index, count in enumerate(self._pending_count):
+                if count:
+                    lines.update(self._pending_of(index))
         for target_set in self._sets:
             if target_set is not None:
                 lines.update(target_set)
         return lines
 
     def occupancy(self) -> int:
-        pending = sum(len(newest_first) for newest_first in self._pending.values())
+        pending = sum(self._pending_count) if self._pending_sets else 0
         return pending + sum(len(s) for s in self._sets if s is not None)
 
     def flush(self) -> None:
         self._sets = [None] * self.num_sets
-        self._pending.clear()
+        self._pending_lines = []
+        self._pending_count = []
+        self._pending_sets = 0
 
     def __repr__(self) -> str:
         return (

@@ -38,6 +38,7 @@ Two access paths:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.common.config import CacheConfig, MachineConfig, MemLevel
 from repro.common.stats import StatGroup
@@ -85,7 +86,8 @@ class _BankSet:
 
     def reserve(self, bank: int, earliest: int, duration: int) -> int:
         """Reserve one bank; returns the granted start cycle."""
-        start = max(earliest, self._free_at[bank])
+        free_at = self._free_at[bank]
+        start = earliest if earliest >= free_at else free_at
         self._free_at[bank] = start + duration
         return start
 
@@ -114,10 +116,11 @@ class _PortScheduler:
         self._floor = 0
 
     def grant(self, earliest: int) -> int:
-        cycle = max(earliest, self._floor)
-        while self._used.get(cycle, 0) >= self.ports:
+        cycle = earliest if earliest >= self._floor else self._floor
+        used = self._used
+        while used.get(cycle, 0) >= self.ports:
             cycle += 1
-        self._used[cycle] = self._used.get(cycle, 0) + 1
+        used[cycle] = used.get(cycle, 0) + 1
         if cycle > self._horizon + 4096:
             self._floor = cycle - 64
             self._used = {c: n for c, n in self._used.items() if c >= self._floor}
@@ -125,9 +128,9 @@ class _PortScheduler:
         return cycle
 
 
-@dataclass(frozen=True)
-class LoadResponse:
-    """Completion of a normal (or validation) load."""
+class LoadResponse(NamedTuple):
+    """Completion of a normal (or validation) load (an immutable tuple, as
+    cheap to build as one)."""
 
     complete_at: int
     level: MemLevel  # where the data was found
@@ -135,9 +138,8 @@ class LoadResponse:
     mshr_merged: bool = False
 
 
-@dataclass(frozen=True)
-class OblLoadResponse:
-    """Completion schedule of an oblivious load.
+class OblLoadResponse(NamedTuple):
+    """Completion schedule of an oblivious load (an immutable tuple).
 
     ``responses`` lists ``(level, cycle, hit)`` for every level looked up, in
     L1-to-predicted order — caches respond in order (footnote 2 of the
@@ -185,6 +187,7 @@ class MemoryHierarchy:
         core_id: int = 0,
     ) -> None:
         self.config = config
+        self._line_size = config.line_size
         self.observer = observer or ResourceObserver(enabled=False)
         self.core_id = core_id
         self.stats = StatGroup("mem")
@@ -208,6 +211,11 @@ class MemoryHierarchy:
         self.mesh = Mesh(config.mesh_dims, config.mesh_hop_latency)
         self.directory = Directory(num_cores)
         self._core_node = core_id % self.mesh.num_nodes
+        # One-way mesh latency from this core to each L3 slice.
+        self._slice_wire = [
+            self.mesh.latency(self._core_node, slice_node(index, self.mesh))
+            for index in range(config.l3.slices)
+        ]
         self._obl_l3_round_trip = self.mesh.max_round_trip(self._core_node)
         # Speculative buffer (transparent-speculation path): line -> count
         # of in-flight buffered loads holding it.  Capacity is bounded by
@@ -230,7 +238,7 @@ class MemoryHierarchy:
     # ------------------------------------------------------------------ #
 
     def line_of(self, addr: int) -> int:
-        return addr // self.config.line_size
+        return addr // self._line_size
 
     def slice_of(self, line: int) -> int:
         return slice_of_line(line, self.config.l3.slices)
@@ -267,7 +275,7 @@ class MemoryHierarchy:
         self.stats.bump("stores" if write else "loads")
         line = self.line_of(addr)
         tlb_hit, tlb_latency = self.tlb.access(addr)
-        if not tlb_hit:
+        if not tlb_hit and self.observer.enabled:
             self.observer.emit(now, "TLB", "walk", self.tlb.page_of(addr))
         cursor = now + tlb_latency
 
@@ -304,13 +312,16 @@ class MemoryHierarchy:
         than re-ordering the whole walk).
         """
         # --- L1 ---
-        grant = self.l1.ports.grant(cursor)
-        start = self.l1.banks.reserve(self.l1.array.bank_index(line), grant, BANK_OCCUPANCY)
-        self.observer.emit(start, "L1D.bank", "reserve", self.l1.array.bank_index(line))
-        hit, evicted = self.l1.array.access(line, write=write)
-        cursor = start + self.l1.config.latency
+        l1 = self.l1
+        grant = l1.ports.grant(cursor)
+        start = l1.banks.reserve(l1.array.bank_index(line), grant, BANK_OCCUPANCY)
+        if self.observer.enabled:
+            self.observer.emit(start, "L1D.bank", "reserve", l1.array.bank_index(line))
+        hit, evicted = l1.array.access(line, write)
+        cursor = start + l1.config.latency
         if hit:
-            self.observer.emit(cursor, "L1D", "respond", self.l1.array.set_index(line))
+            if self.observer.enabled:
+                self.observer.emit(cursor, "L1D", "respond", l1.array.set_index(line))
             return _L1, cursor
         self._note_eviction(evicted, self.l2, cursor, "L1D")
         if self.l1.mshrs.would_merge(line, cursor):
@@ -324,12 +335,14 @@ class MemoryHierarchy:
         # --- L2 ---
         grant = self.l2.ports.grant(cursor)
         start = self.l2.banks.reserve(self.l2.array.bank_index(line), grant, BANK_OCCUPANCY)
-        self.observer.emit(start, "L2.bank", "reserve", self.l2.array.bank_index(line))
+        if self.observer.enabled:
+            self.observer.emit(start, "L2.bank", "reserve", self.l2.array.bank_index(line))
         hit, evicted = self.l2.array.access(line, write=write)
         cursor = start + self.l2.config.latency
         if hit:
-            self.observer.emit(cursor, "L2", "respond", self.l2.array.set_index(line))
-            self.observer.emit(cursor, "L1D", "fill", self.l1.array.set_index(line))
+            if self.observer.enabled:
+                self.observer.emit(cursor, "L2", "respond", self.l2.array.set_index(line))
+                self.observer.emit(cursor, "L1D", "fill", self.l1.array.set_index(line))
             cursor = self._allocate_miss_mshrs(misses_crossed, line, start, cursor)
             return _L2, cursor
         self._note_eviction(evicted, None, cursor, "L2")
@@ -338,21 +351,23 @@ class MemoryHierarchy:
         # --- L3 slice (over the mesh) ---
         slice_index = self.slice_of(line)
         slice_level = self.l3_slices[slice_index]
-        wire = self.mesh.latency(self._core_node, slice_node(slice_index, self.mesh))
+        wire = self._slice_wire[slice_index]
         arrive = cursor + wire
         grant = slice_level.ports.grant(arrive)
         start = slice_level.banks.reserve(
             slice_level.array.bank_index(line), grant, BANK_OCCUPANCY
         )
-        self.observer.emit(
-            start, "L3.slice", "reserve", (slice_index, slice_level.array.bank_index(line))
-        )
+        if self.observer.enabled:
+            self.observer.emit(
+                start, "L3.slice", "reserve", (slice_index, slice_level.array.bank_index(line))
+            )
         hit, evicted = slice_level.array.access(line, write=write)
         cursor = start + slice_level.config.latency + wire  # response travels back
         if hit:
-            self.observer.emit(cursor, "L3", "respond", slice_index)
-            self.observer.emit(cursor, "L2", "fill", self.l2.array.set_index(line))
-            self.observer.emit(cursor, "L1D", "fill", self.l1.array.set_index(line))
+            if self.observer.enabled:
+                self.observer.emit(cursor, "L3", "respond", slice_index)
+                self.observer.emit(cursor, "L2", "fill", self.l2.array.set_index(line))
+                self.observer.emit(cursor, "L1D", "fill", self.l1.array.set_index(line))
             cursor = self._allocate_miss_mshrs(misses_crossed, line, start, cursor)
             return _L3, cursor
         self._note_eviction(evicted, None, cursor, "L3")
@@ -360,12 +375,14 @@ class MemoryHierarchy:
 
         # --- DRAM ---
         dram_latency = self.dram.access(line)
-        self.observer.emit(
-            cursor, "DRAM.row", "access", (self.dram.bank_of(line), self.dram.row_of(line))
-        )
+        if self.observer.enabled:
+            self.observer.emit(
+                cursor, "DRAM.row", "access", (self.dram.bank_of(line), self.dram.row_of(line))
+            )
         cursor += dram_latency
-        self.observer.emit(cursor, "L2", "fill", self.l2.array.set_index(line))
-        self.observer.emit(cursor, "L1D", "fill", self.l1.array.set_index(line))
+        if self.observer.enabled:
+            self.observer.emit(cursor, "L2", "fill", self.l2.array.set_index(line))
+            self.observer.emit(cursor, "L1D", "fill", self.l1.array.set_index(line))
         cursor = self._allocate_miss_mshrs(misses_crossed, line, cursor, cursor)
         return _DRAM, cursor
 
@@ -387,7 +404,8 @@ class MemoryHierarchy:
         if evicted is None:
             return
         self.stats.bump("evictions")
-        self.observer.emit(cycle, name, "evict", evicted.line)
+        if self.observer.enabled:
+            self.observer.emit(cycle, name, "evict", evicted.line)
         if not evicted.dirty:
             return
         self.stats.bump("writebacks")
@@ -422,7 +440,7 @@ class MemoryHierarchy:
         self.stats.bump("spec_loads")
         line = self.line_of(addr)
         tlb_hit, tlb_latency = self.tlb.access(addr)
-        if not tlb_hit:
+        if not tlb_hit and self.observer.enabled:
             self.observer.emit(now, "TLB", "walk", self.tlb.page_of(addr))
         cursor = now + tlb_latency
 
@@ -434,7 +452,8 @@ class MemoryHierarchy:
             start = self.l1.banks.reserve(
                 self.l1.array.bank_index(line), grant, BANK_OCCUPANCY
             )
-            self.observer.emit(start, "SpecBuf", "hit", line)
+            if self.observer.enabled:
+                self.observer.emit(start, "SpecBuf", "hit", line)
             self._spec_buffer[line] += 1
             return LoadResponse(
                 complete_at=start + self.l1.config.latency,
@@ -445,7 +464,8 @@ class MemoryHierarchy:
         level_found, cursor = self._walk_caches_transparent(line, cursor)
         self.stats.bump(_HIT_COUNTERS[level_found])
         self._spec_buffer[line] = self._spec_buffer.get(line, 0) + 1
-        self.observer.emit(cursor, "SpecBuf", "insert", line)
+        if self.observer.enabled:
+            self.observer.emit(cursor, "SpecBuf", "insert", line)
         return LoadResponse(
             complete_at=cursor, level=level_found, tlb_hit=tlb_hit
         )
@@ -463,10 +483,12 @@ class MemoryHierarchy:
         # --- L1 ---
         grant = self.l1.ports.grant(cursor)
         start = self.l1.banks.reserve(self.l1.array.bank_index(line), grant, BANK_OCCUPANCY)
-        self.observer.emit(start, "L1D.bank", "reserve", self.l1.array.bank_index(line))
+        if self.observer.enabled:
+            self.observer.emit(start, "L1D.bank", "reserve", self.l1.array.bank_index(line))
         cursor = start + self.l1.config.latency
         if self.l1.array.probe(line):
-            self.observer.emit(cursor, "L1D", "respond", self.l1.array.set_index(line))
+            if self.observer.enabled:
+                self.observer.emit(cursor, "L1D", "respond", self.l1.array.set_index(line))
             return _L1, cursor
         if self.l1.mshrs.would_merge(line, cursor):
             self.stats.bump("mshr_merges")
@@ -477,10 +499,12 @@ class MemoryHierarchy:
         # --- L2 ---
         grant = self.l2.ports.grant(cursor)
         start = self.l2.banks.reserve(self.l2.array.bank_index(line), grant, BANK_OCCUPANCY)
-        self.observer.emit(start, "L2.bank", "reserve", self.l2.array.bank_index(line))
+        if self.observer.enabled:
+            self.observer.emit(start, "L2.bank", "reserve", self.l2.array.bank_index(line))
         cursor = start + self.l2.config.latency
         if self.l2.array.probe(line):
-            self.observer.emit(cursor, "L2", "respond", self.l2.array.set_index(line))
+            if self.observer.enabled:
+                self.observer.emit(cursor, "L2", "respond", self.l2.array.set_index(line))
             cursor = self._allocate_miss_mshrs(misses_crossed, line, start, cursor)
             return _L2, cursor
         misses_crossed.append(self.l2.mshrs)
@@ -488,18 +512,20 @@ class MemoryHierarchy:
         # --- L3 slice (over the mesh) ---
         slice_index = self.slice_of(line)
         slice_level = self.l3_slices[slice_index]
-        wire = self.mesh.latency(self._core_node, slice_node(slice_index, self.mesh))
+        wire = self._slice_wire[slice_index]
         arrive = cursor + wire
         grant = slice_level.ports.grant(arrive)
         start = slice_level.banks.reserve(
             slice_level.array.bank_index(line), grant, BANK_OCCUPANCY
         )
-        self.observer.emit(
-            start, "L3.slice", "reserve", (slice_index, slice_level.array.bank_index(line))
-        )
+        if self.observer.enabled:
+            self.observer.emit(
+                start, "L3.slice", "reserve", (slice_index, slice_level.array.bank_index(line))
+            )
         cursor = start + slice_level.config.latency + wire
         if slice_level.array.probe(line):
-            self.observer.emit(cursor, "L3", "respond", slice_index)
+            if self.observer.enabled:
+                self.observer.emit(cursor, "L3", "respond", slice_index)
             cursor = self._allocate_miss_mshrs(misses_crossed, line, start, cursor)
             return _L3, cursor
         misses_crossed.append(slice_level.mshrs)
@@ -507,9 +533,10 @@ class MemoryHierarchy:
         # --- DRAM (row-buffer state changes for real: the one piece of
         # shared timing state transparent speculation cannot hide) ---
         dram_latency = self.dram.access(line)
-        self.observer.emit(
-            cursor, "DRAM.row", "access", (self.dram.bank_of(line), self.dram.row_of(line))
-        )
+        if self.observer.enabled:
+            self.observer.emit(
+                cursor, "DRAM.row", "access", (self.dram.bank_of(line), self.dram.row_of(line))
+            )
         cursor += dram_latency
         cursor = self._allocate_miss_mshrs(misses_crossed, line, cursor, cursor)
         return _DRAM, cursor
@@ -522,7 +549,8 @@ class MemoryHierarchy:
         line = self.line_of(addr)
         self.stats.bump("spec_releases")
         self._spec_buffer.pop(line, None)
-        self.observer.emit(now, "SpecBuf", "release", line)
+        if self.observer.enabled:
+            self.observer.emit(now, "SpecBuf", "release", line)
         evicted = self.l1.array.fill(line, dirty=False)
         self._note_eviction(evicted, self.l2, now, "L1D")
         evicted = self.l2.array.fill(line, dirty=False)
@@ -567,7 +595,8 @@ class MemoryHierarchy:
         # DO TLB probe: presence check only; a miss does NOT trigger a walk
         # and poisons the access into a guaranteed fail (Section V-B).
         tlb_hit = self.tlb.probe(addr)
-        self.observer.emit(now, "TLB", "probe", None)  # address-independent
+        if self.observer.enabled:
+            self.observer.emit(now, "TLB", "probe", None)  # address-independent
         if not tlb_hit:
             self.stats.bump("obl_tlb_fails")
         cursor = now + self.config.tlb.hit_latency
@@ -613,12 +642,14 @@ class MemoryHierarchy:
         name = "L1D" if level is _L1 else "L2"
         grant = target.ports.grant(cursor)
         start = target.banks.reserve_all(grant, OBL_BANK_OCCUPANCY)
-        self.observer.emit(start, f"{name}.bank", "reserve_all", OBL_BANK_OCCUPANCY)
+        if self.observer.enabled:
+            self.observer.emit(start, f"{name}.bank", "reserve_all", OBL_BANK_OCCUPANCY)
         respond_at = start + target.config.latency
         # Private, address-independently chosen MSHR entry held for the
         # lookup's duration (Section VI-B2).
         target.mshrs.allocate(-1, start, respond_at, private=True)
-        self.observer.emit(respond_at, name, "obl_respond", None)
+        if self.observer.enabled:
+            self.observer.emit(respond_at, name, "obl_respond", None)
         return respond_at, respond_at
 
     def _oblivious_l3_lookup(self, cursor: int) -> tuple[int, int]:
@@ -627,12 +658,14 @@ class MemoryHierarchy:
         for index, slice_level in enumerate(self.l3_slices):
             grant = slice_level.ports.grant(cursor)
             start = slice_level.banks.reserve_all(grant, OBL_BANK_OCCUPANCY)
-            self.observer.emit(start, "L3.slice", "reserve_all", index)
+            if self.observer.enabled:
+                self.observer.emit(start, "L3.slice", "reserve_all", index)
             starts.append(start)
         # The L2<->L3 MSHR is deallocated when all responses arrive.
         respond_at = max(starts) + self.config.l3.latency + self._obl_l3_round_trip
         self.l2.mshrs.allocate(-1, cursor, respond_at, private=True)
-        self.observer.emit(respond_at, "L3", "obl_respond", None)
+        if self.observer.enabled:
+            self.observer.emit(respond_at, "L3", "obl_respond", None)
         return respond_at, respond_at
 
     # ------------------------------------------------------------------ #

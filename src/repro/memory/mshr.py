@@ -16,12 +16,12 @@ timing model, which computes each request's completion cycle at issue time.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class MshrAllocation:
-    """Result of an allocation attempt."""
+class MshrAllocation(NamedTuple):
+    """Result of an allocation attempt (an immutable tuple: one is built
+    per level a miss crosses)."""
 
     granted_at: int  # cycle at which the MSHR became available
     merged: bool  # True if this miss merged into an outstanding one

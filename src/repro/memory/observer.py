@@ -37,8 +37,10 @@ class ResourceEvent:
 class ResourceObserver:
     """Collects :class:`ResourceEvent` records.
 
-    Disabled by default (performance runs pay one branch per event); the
-    security harness enables it around the window under test.
+    Disabled by default; the security harness enables it around the window
+    under test.  The hierarchy tests ``enabled`` before it builds an
+    event's arguments, so a performance run pays one attribute check per
+    event site.
     """
 
     def __init__(self, enabled: bool = False) -> None:

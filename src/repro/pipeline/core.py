@@ -54,8 +54,10 @@ from repro.pipeline.protection import (
     FpIssueAction,
     IssueDecision,
     LoadIssueAction,
+    LIFECYCLE_HOOKS,
     ProtectionScheme,
     UnsafeProtection,
+    defined_hook,
 )
 from repro.pipeline.registers import PhysRegFile, RenameMap
 from repro.pipeline.rob import ReorderBuffer
@@ -125,6 +127,22 @@ STALL_REASONS = (
     "do_safe_wait",
     "validation_wait",
     "commit_skew",
+)
+
+
+#: Structural-stall counters (``core.*``): a stalled cycle of fetch (full
+#: buffer, or off the end of the program), dispatch (a full structure or no
+#: free physical register) or commit (a validation in flight).  Counted in a
+#: plain dict and folded into stats when a run ends.
+STRUCTURAL_STALLS = (
+    "fetch_buffer_full_cycles",
+    "fetch_off_end_cycles",
+    "rob_full_stalls",
+    "lq_full_stalls",
+    "sq_full_stalls",
+    "iq_full_stalls",
+    "no_preg_stalls",
+    "validation_stall_cycles",
 )
 
 
@@ -352,8 +370,10 @@ class Core:
         self._fetch_resume_cycle = 0
         self._fetch_halted = False
         self._decode_queue: deque[DynInst] = deque()
-        self._events: list[tuple[int, int, str, DynInst]] = []
-        self._event_tiebreak = 0
+        # Scheduled events: one FIFO bucket of ``(kind, uop)`` per cycle,
+        # and a heap of the cycles that have a bucket (see _schedule).
+        self._event_buckets: dict[int, list[tuple[str, DynInst]]] = {}
+        self._event_cycles: list[int] = []
         self._last_commit_cycle = 0
         self._hang_window = self.DEFAULT_HANG_WINDOW
 
@@ -379,6 +399,7 @@ class Core:
         self._occ_sq = 0
         self._occ_decode = 0
         self._stall_counts: dict[str, int] = {}
+        self._structural_stalls: dict[str, int] = {}
         # Per-uop counts, in plain ints for the same reason: fetched,
         # issued and committed uops, and each issue-gate outcome.  A delay
         # is one ``core.*_delay_cycles`` cycle and one ``decisions.*_delay``;
@@ -417,6 +438,16 @@ class Core:
         self._cycle_delayed_fps: list[DynInst] = []
 
         self.protection.attach(self)
+        # The scheme's lifecycle hooks, bound once; ``None`` for one it
+        # inherits as a no-op, which is then never called.
+        (
+            self._on_rename,
+            self._begin_cycle,
+            self._on_complete,
+            self._on_commit,
+            self._on_squash,
+            self._on_load_outcome,
+        ) = (defined_hook(self.protection, name) for name in LIFECYCLE_HOOKS)
 
     # ------------------------------------------------------------------ #
     # Public API
@@ -466,8 +497,9 @@ class Core:
             and not self.observers
             and self.protection.supports_fast_forward
         )
+        step = self.step
         while not self.halted and self.cycle < max_cycles:
-            idle = self.step()
+            idle = step()
             if self._n_instructions >= target:
                 break
             if idle and skipping:
@@ -521,8 +553,9 @@ class Core:
             "pending_resolutions": len(self._pending_resolutions),
         }
         heap_head = None
-        if self._events:
-            cycle, _, kind, uop = self._events[0]
+        if self._event_cycles:
+            cycle = self._event_cycles[0]
+            kind, uop = self._event_buckets[cycle][0]
             heap_head = f"{kind}@{cycle} for {uop!r}"
         return HangDiagnostics(
             cycle=self.cycle,
@@ -538,7 +571,7 @@ class Core:
             sq_occupancy=len(self.sq._entries),
             lq_blocked=lq_blocked,
             event_heap_head=heap_head,
-            event_heap_size=len(self._events),
+            event_heap_size=sum(map(len, self._event_buckets.values())),
             fetch_state={
                 "fetch_pc": self.fetch_pc,
                 "fetch_halted": self._fetch_halted,
@@ -558,7 +591,10 @@ class Core:
         following cycle repeats its accounting verbatim until the next
         scheduled wake point — the fast-forward eligibility predicate
         (see :meth:`_fast_forward`).
+
+        A stage with nothing to do this cycle is not called at all.
         """
+        cycle = self.cycle
         self._cycle_activity = 0
         self._cycle_fetch_stall = None
         self._cycle_dispatch_stall = None
@@ -567,14 +603,23 @@ class Core:
             self._cycle_delayed_loads.clear()
         if self._cycle_delayed_fps:
             self._cycle_delayed_fps.clear()
-        self._process_events()
-        self.protection.begin_cycle(self.cycle)
-        self._process_pending_resolutions()
-        self._process_safe_transitions()
-        committed = self._commit()
-        issued = self._issue()
-        dispatched = self._dispatch()
-        fetched = self._fetch()
+        if self._event_cycles and self._event_cycles[0] <= cycle:
+            self._process_events()
+        if self._begin_cycle is not None:
+            self._begin_cycle(cycle)
+        if self._pending_resolutions:
+            self._process_pending_resolutions()
+        if self._protected_watch:
+            self._process_safe_transitions()
+        committed = self._commit() if self.rob._entries else 0
+        if self._stores_awaiting_data:
+            self._capture_store_data()
+        issued = self._issue() if self._ready else 0
+        dispatched = self._dispatch() if self._decode_queue else 0
+        if self._fetch_halted or cycle < self._fetch_resume_cycle:
+            fetched = 0
+        else:
+            fetched = self._fetch()
         # Per-cycle accounting (the observability layer's always-on half),
         # inlined and reading the queues' backing stores directly so the
         # per-cycle cost stays a handful of C-level operations.  Every cycle
@@ -603,8 +648,8 @@ class Core:
             self._dispatch_active_cycles += 1
         if self.observers:
             for observer in self.observers:
-                observer.on_cycle_end(self.cycle)
-        self.cycle += 1
+                observer.on_cycle_end(cycle)
+        self.cycle = cycle + 1
         return (
             committed == 0
             and issued == 0
@@ -626,7 +671,7 @@ class Core:
         # Called after step() already advanced ``self.cycle``, so a wake due
         # *this* cycle (== self.cycle) is a valid candidate — it yields a
         # zero-length span and simply suppresses the skip.
-        wake = self._events[0][0] if self._events else None
+        wake = self._event_cycles[0] if self._event_cycles else None
         if not self._fetch_halted and self.cycle <= self._fetch_resume_cycle:
             if wake is None or self._fetch_resume_cycle < wake:
                 wake = self._fetch_resume_cycle
@@ -669,12 +714,13 @@ class Core:
         counts = self._stall_counts
         reason = self._cycle_stall_reason
         counts[reason] = counts.get(reason, 0) + span
-        if self._cycle_fetch_stall is not None:
-            self.stats.bump(self._cycle_fetch_stall, span)
-        if self._cycle_dispatch_stall is not None:
-            self.stats.bump(self._cycle_dispatch_stall, span)
+        # The stepped cycle counted each of its structural stalls once.
+        structural = self._structural_stalls
+        for stall in (self._cycle_fetch_stall, self._cycle_dispatch_stall):
+            if stall is not None:
+                structural[stall] += span
         if self._cycle_validation_stall:
-            self.stats.bump("validation_stall_cycles", span)
+            structural["validation_stall_cycles"] += span
         for uop in self._cycle_delayed_loads:
             uop.delayed_cycles += span
             self._n_load_delays += span
@@ -687,9 +733,10 @@ class Core:
 
     def _stall_reason(self) -> str:
         """Attribute a zero-commit cycle to the ROB head's blocking cause."""
-        head = self.rob.head
-        if head is None:
+        entries = self.rob._entries
+        if not entries:
             return "frontend"
+        head = entries[0]
         if head.is_branch and head.state.done:
             # Resolution scheduled (or held by STT's implicit-channel rule).
             return "branch_hold" if head.resolution_pending else "exec"
@@ -759,6 +806,9 @@ class Core:
         for reason in STALL_REASONS:
             if reason in self._stall_counts:
                 self._stall_stats.set(reason, self._stall_counts[reason])
+        for stall in STRUCTURAL_STALLS:
+            if stall in self._structural_stalls:
+                stats.set(stall, self._structural_stalls[stall])
         self.stats.set("commit_active_cycles", self.commit_active_cycles)
         self.stats.set("issue_active_cycles", self._issue_active_cycles)
         self.stats.set("dispatch_active_cycles", self._dispatch_active_cycles)
@@ -799,56 +849,86 @@ class Core:
     # ------------------------------------------------------------------ #
 
     def _schedule(self, cycle: int, kind: str, uop: DynInst) -> None:
-        self._event_tiebreak += 1
+        """Queue event ``kind`` for ``uop`` at ``cycle`` (at the earliest
+        the next cycle).
+
+        Events fire in cycle order, and within a cycle in the order they
+        were scheduled: each cycle has one FIFO bucket, and a heap holds
+        the distinct cycles.  An event is always scheduled for a later
+        cycle than the one being processed, so a bucket never grows while
+        it is drained.
+        """
         if cycle <= self.cycle:
             cycle = self.cycle + 1
-        heapq.heappush(self._events, (cycle, self._event_tiebreak, kind, uop))
+        bucket = self._event_buckets.get(cycle)
+        if bucket is None:
+            self._event_buckets[cycle] = [(kind, uop)]
+            heapq.heappush(self._event_cycles, cycle)
+        else:
+            bucket.append((kind, uop))
 
     def _process_events(self) -> None:
-        while self._events and self._events[0][0] <= self.cycle:
-            _, _, kind, uop = heapq.heappop(self._events)
+        cycles = self._event_cycles
+        buckets = self._event_buckets
+        now = self.cycle
+        while cycles and cycles[0] <= now:
+            bucket = buckets.pop(heapq.heappop(cycles))
             # Even a squashed uop's event counts as activity: popping it
-            # changed the heap, so the next cycle is not a replay of this
+            # changed the queue, so the next cycle is not a replay of this
             # one (conservative, and events are never idle-span wake-ups
-            # anyway — _next_wake stops the skip at the heap head).
-            self._cycle_activity += 1
-            if uop.squashed:
-                continue
-            if kind == "complete":
-                self._complete(uop)
-            elif kind == "branch_resolve":
-                self._resolve_branch(uop)
-            elif kind == "obl_resp":
-                self._obl_wait_buffer(uop)
-            elif kind == "validation_done":
-                self._validation_done(uop)
-            else:  # pragma: no cover
-                raise AssertionError(f"unknown event kind {kind}")
+            # anyway — _next_wake stops the skip at the earliest bucket).
+            self._cycle_activity += len(bucket)
+            for kind, uop in bucket:
+                if uop.squashed:
+                    continue
+                if kind == "complete":
+                    if not uop.is_store:
+                        self._writeback(uop, uop.value if uop.is_load else uop.result)
+                        continue
+                    uop.state = _COMPLETED
+                    uop.complete_cycle = now
+                    if self.observers:
+                        for observer in self.observers:
+                            observer.on_complete(uop, now)
+                elif kind == "branch_resolve":
+                    self._resolve_branch(uop)
+                elif kind == "obl_resp":
+                    self._obl_wait_buffer(uop)
+                elif kind == "validation_done":
+                    self._validation_done(uop)
+                else:  # pragma: no cover
+                    raise AssertionError(f"unknown event kind {kind}")
 
     # ------------------------------------------------------------------ #
     # Fetch
     # ------------------------------------------------------------------ #
 
     def _fetch(self) -> int:
-        if self._fetch_halted or self.cycle < self._fetch_resume_cycle:
-            return 0
+        """Fetch up to ``fetch_width`` uops (step() calls this only while
+        fetch is neither halted nor waiting out a redirect penalty)."""
         core_cfg = self.config.core
         width = core_cfg.fetch_width
         decode_queue = self._decode_queue
         if len(decode_queue) >= 3 * width:
-            self.stats.bump("fetch_buffer_full_cycles")
-            self._cycle_fetch_stall = "fetch_buffer_full_cycles"
+            stall = self._cycle_fetch_stall = "fetch_buffer_full_cycles"
+            structural = self._structural_stalls
+            structural[stall] = structural.get(stall, 0) + 1
             return 0
         program = self.program.instructions
         end = len(program)
         decode_ready = self.cycle + core_cfg.fetch_to_decode_latency
         pc = self.fetch_pc
         seq = self._seq
+        observers = self.observers
+        predict = self.bpred.predict
         fetched = 0
         while fetched < width:
             if not 0 <= pc < end:
                 # Ran off the program on a wrong path; wait for a redirect.
-                self.stats.bump("fetch_off_end_cycles")
+                structural = self._structural_stalls
+                structural["fetch_off_end_cycles"] = (
+                    structural.get("fetch_off_end_cycles", 0) + 1
+                )
                 if fetched == 0:
                     self._cycle_fetch_stall = "fetch_off_end_cycles"
                 break
@@ -858,9 +938,9 @@ class Core:
             seq += 1
             next_pc = pc + 1
             taken = False
-            if opcode.is_branch:
+            if uop.is_branch:
                 if opcode.is_conditional_branch:
-                    prediction = self.bpred.predict(pc)
+                    prediction = predict(pc)
                     uop.prediction = prediction
                     taken = prediction.taken
                 else:  # JMP
@@ -869,8 +949,8 @@ class Core:
                     next_pc = inst.target
                 uop.predicted_next_pc = next_pc
             decode_queue.append(uop)
-            if self.observers:
-                for observer in self.observers:
+            if observers:
+                for observer in observers:
                     observer.on_fetch(uop, self.cycle)
             pc = next_pc
             fetched += 1
@@ -891,57 +971,87 @@ class Core:
     # ------------------------------------------------------------------ #
 
     def _dispatch(self) -> int:
+        """Rename up to ``decode_width`` decoded uops into the ROB, LQ/SQ
+        and IQ, in one pass."""
         decode_queue = self._decode_queue
         core_cfg = self.config.core
         width = core_cfg.decode_width
         cycle = self.cycle
         rob, lq, sq = self.rob, self.lq, self.sq
-        # The capacity checks below stand in for the queues' own push()
-        # checks; the peaks are updated once, after the loop.
+        # Free-slot counts stand in for the queues' own push() checks; the
+        # peaks are updated once, after the loop.
         rob_entries, lq_entries, sq_entries = rob._entries, lq._entries, sq._entries
+        rob_free = rob.capacity - len(rob_entries)
+        lq_free = lq.capacity - len(lq_entries)
+        sq_free = sq.capacity - len(sq_entries)
+        iq_free = core_cfg.iq_entries - len(self.iq)
+        sources = self.program.sources
+        mapping = self.rename_map._map
+        rename_dest = self.rename_map.rename_dest
+        on_rename = self._on_rename
+        enter_iq = self._enter_iq
+        observers = self.observers
+        stall = None
         dispatched = 0
-        while width > 0 and decode_queue:
+        while dispatched < width and decode_queue:
             uop = decode_queue[0]
             if uop.decode_ready > cycle:
                 break
-            if len(rob_entries) >= rob.capacity:
-                self.stats.bump("rob_full_stalls")
-                self._cycle_dispatch_stall = "rob_full_stalls"
-                break
-            if uop.is_load and len(lq_entries) >= lq.capacity:
-                self.stats.bump("lq_full_stalls")
-                self._cycle_dispatch_stall = "lq_full_stalls"
-                break
-            if uop.is_store and len(sq_entries) >= sq.capacity:
-                self.stats.bump("sq_full_stalls")
-                self._cycle_dispatch_stall = "sq_full_stalls"
-                break
+            is_load = uop.is_load
+            is_store = uop.is_store
             needs_iq = uop.op_class is not _SYSTEM
-            if needs_iq and len(self.iq) >= core_cfg.iq_entries:
-                self.stats.bump("iq_full_stalls")
-                self._cycle_dispatch_stall = "iq_full_stalls"
+            if not rob_free:
+                stall = "rob_full_stalls"
                 break
-            if not self._rename(uop):
-                self.stats.bump("no_preg_stalls")
-                self._cycle_dispatch_stall = "no_preg_stalls"
+            if is_load and not lq_free:
+                stall = "lq_full_stalls"
                 break
+            if is_store and not sq_free:
+                stall = "sq_full_stalls"
+                break
+            if needs_iq and not iq_free:
+                stall = "iq_full_stalls"
+                break
+            # Rename: sources first (an instruction may overwrite its own
+            # source register), then the destination.
+            archs = sources[uop.pc]
+            if len(archs) == 2:
+                uop.src_pregs = (mapping[archs[0]], mapping[archs[1]])
+            elif archs:
+                uop.src_pregs = (mapping[archs[0]],)
+            rd = uop.inst.rd
+            if rd is not None:
+                renamed = rename_dest(rd)
+                if renamed is None:
+                    stall = "no_preg_stalls"
+                    break
+                uop.dest_preg, uop.old_dest_preg = renamed
+            if on_rename is not None:
+                on_rename(uop)
             decode_queue.popleft()
             rob_entries.append(uop)
-            if uop.is_load:
+            rob_free -= 1
+            if is_load:
                 lq_entries.append(uop)
-            elif uop.is_store:
+                lq_free -= 1
+            elif is_store:
                 sq_entries.append(uop)
+                sq_free -= 1
             if needs_iq:
                 uop.state = _WAITING
-                self._enter_iq(uop)
+                enter_iq(uop)
+                iq_free -= 1
             else:
                 uop.state = _COMPLETED
                 uop.complete_cycle = cycle
-            if self.observers:
-                for observer in self.observers:
+            if observers:
+                for observer in observers:
                     observer.on_dispatch(uop, cycle)
             dispatched += 1
-            width -= 1
+        if stall is not None:
+            structural = self._structural_stalls
+            structural[stall] = structural.get(stall, 0) + 1
+            self._cycle_dispatch_stall = stall
         if dispatched:
             if len(rob_entries) > rob.peak_occupancy:
                 rob.peak_occupancy = len(rob_entries)
@@ -950,17 +1060,6 @@ class Core:
             if len(sq_entries) > sq.peak_occupancy:
                 sq.peak_occupancy = len(sq_entries)
         return dispatched
-
-    def _rename(self, uop: DynInst) -> bool:
-        inst = uop.inst
-        uop.src_pregs = self.rename_map.lookup_all(self.program.sources[uop.pc])
-        if inst.rd is not None:
-            renamed = self.rename_map.rename_dest(inst.rd)
-            if renamed is None:
-                return False
-            uop.dest_preg, uop.old_dest_preg = renamed
-        self.protection.on_rename(uop)
-        return True
 
     # ------------------------------------------------------------------ #
     # Issue / execute
@@ -973,35 +1072,24 @@ class Core:
         A store waits only on its base register (split AGU: its data may
         arrive after address generation, see :meth:`_capture_store_data`).
         """
-        self._iq_stamp += 1
-        uop.iq_stamp = self._iq_stamp
+        self._iq_stamp = uop.iq_stamp = self._iq_stamp + 1
         self.iq[uop] = None
         ready = self.prf.ready
-        operands = (uop.src_pregs[1],) if uop.is_store else uop.src_pregs
         waiting = 0
-        for preg in operands:
+        if uop.is_store:
+            preg = uop.src_pregs[1]
             if not ready[preg]:
                 self._consumers[preg].append(uop)
-                waiting += 1
+                waiting = 1
+        else:
+            for preg in uop.src_pregs:
+                if not ready[preg]:
+                    self._consumers[preg].append(uop)
+                    waiting += 1
         uop.waiting_on = waiting
         if not waiting:
             # The newest stamp: the tail of the ready list.
             self._ready.append(uop)
-
-    def _mark_ready(self, preg: int, value: int | float) -> None:
-        """Write ``preg`` and wake its consumers: a consumer with no other
-        operand outstanding joins the ready list at its IQ position."""
-        self.prf.mark_ready(preg, value)
-        waiters = self._consumers[preg]
-        if not waiters:
-            return
-        self._consumers[preg] = []
-        for uop in waiters:
-            if uop.squashed:
-                continue
-            uop.waiting_on -= 1
-            if uop.waiting_on == 0:
-                insort(self._ready, uop, key=_IQ_ORDER)
 
     def _issue(self) -> int:
         """Select from the ready list, oldest IQ entry first.
@@ -1011,12 +1099,10 @@ class Core:
         op re-enters the IQ tail only after everything younger was squashed
         (both re-entry paths squash first), but the stamp keeps select exact
         without leaning on that.  Every FU class shares the one issue
-        width, so the ready list is one list, not one per class.
+        width, so the ready list is one list, not one per class.  step()
+        calls this only with a non-empty ready list.
         """
-        self._capture_store_data()
         ready = self._ready
-        if not ready:
-            return 0
         core_cfg = self.config.core
         slots = core_cfg.issue_width
         mem_slots = core_cfg.mem_ports
@@ -1024,6 +1110,10 @@ class Core:
         mul_free = core_cfg.int_mul_units
         fp_free = core_cfg.fp_units
         iq = self.iq
+        values = self.prf.value
+        cycle = self.cycle
+        schedule = self._schedule
+        observers = self.observers
         kept: list[DynInst] = []
         for index, uop in enumerate(ready):
             if slots == 0:
@@ -1042,19 +1132,49 @@ class Core:
                     continue
                 fp_free -= 1
             else:
+                # ALU / FP-non-transmitter / branch: take a unit of the
+                # class, execute with the renamed operand values and
+                # schedule the writeback (or resolution) after the class's
+                # fixed latency.
                 op_class = uop.op_class
                 if op_class is _INT_ALU and alu_free:
                     alu_free -= 1
+                    latency = 1
                 elif op_class is _BRANCH and branch_free:
                     branch_free -= 1
+                    latency = 1
                 elif op_class is _INT_MUL and mul_free:
                     mul_free -= 1
+                    latency = 3
                 elif op_class is _FP and fp_free:
                     fp_free -= 1
+                    latency = _FP_FAST_LATENCY[uop.inst.opcode.mnemonic]
+                    if self._fp_operands_slow(uop):
+                        latency += FP_SLOW_EXTRA
                 else:
                     kept.append(uop)
                     continue
-                self._issue_simple(uop)
+                inst = uop.inst
+                a, b = _operands(values, uop)
+                value = inst.opcode.semantics(a, b, inst.imm)
+                uop.issue_cycle = cycle
+                if uop.is_branch:
+                    # Branches have no dest; completion coincides with
+                    # resolution scheduling (the squash, if any, happens at
+                    # resolve time).
+                    uop.actual_taken = value
+                    if value and inst.target is not None:
+                        uop.actual_next_pc = inst.target
+                    uop.state = _COMPLETED
+                    uop.complete_cycle = cycle + latency
+                    schedule(cycle + latency, "branch_resolve", uop)
+                else:
+                    uop.state = _ISSUED
+                    uop.result = value
+                    schedule(cycle + latency, "complete", uop)
+                if observers:
+                    for observer in observers:
+                        observer.on_issue(uop, cycle)
             del iq[uop]
             slots -= 1
         issued = len(ready) - len(kept)
@@ -1062,45 +1182,6 @@ class Core:
             self._ready = kept
             self._n_issued += issued
         return issued
-
-    def _issue_simple(self, uop: DynInst) -> None:
-        """ALU / FP-non-transmitter / branch issue: execute with the renamed
-        operand values and schedule the writeback (or resolution)."""
-        inst = uop.inst
-        a, b = _operands(self.prf.value, uop)
-        value = inst.opcode.semantics(a, b, inst.imm)
-        cycle = self.cycle
-        uop.issue_cycle = cycle
-        latency = self._latency_of(uop)
-        if uop.is_branch:
-            # Branches have no dest; completion coincides with resolution
-            # scheduling (the squash, if any, happens at resolve time).
-            uop.actual_taken = value
-            if value and inst.target is not None:
-                uop.actual_next_pc = inst.target
-            uop.state = _COMPLETED
-            uop.complete_cycle = cycle + latency
-            self._schedule(cycle + latency, "branch_resolve", uop)
-        else:
-            uop.state = _ISSUED
-            uop.result = value
-            self._schedule(cycle + latency, "complete", uop)
-        if self.observers:
-            for observer in self.observers:
-                observer.on_issue(uop, cycle)
-
-    def _latency_of(self, uop: DynInst) -> int:
-        op_class = uop.op_class
-        if op_class is _INT_ALU or op_class is _BRANCH:
-            return 1
-        if op_class is _INT_MUL:
-            return 3
-        if op_class is _FP:
-            base = _FP_FAST_LATENCY[uop.inst.opcode.mnemonic]
-            if self._fp_operands_slow(uop):
-                return base + FP_SLOW_EXTRA
-            return base
-        raise AssertionError(f"no fixed latency for {uop.inst.opcode}")
 
     def _fp_operands_slow(self, uop: DynInst) -> bool:
         values = self.prf.value
@@ -1129,8 +1210,6 @@ class Core:
                 observer.on_issue(uop, self.cycle)
 
     def _capture_store_data(self) -> None:
-        if not self._stores_awaiting_data:
-            return
         still_waiting: list[DynInst] = []
         for uop in self._stores_awaiting_data:
             if uop.squashed:
@@ -1154,31 +1233,44 @@ class Core:
         in by returning a different action; this method never special-cases
         any scheme.
         """
-        # Conservative disambiguation: wait until all older stores have
-        # computed their addresses.
-        if not self.sq.all_addresses_known_before(uop.seq):
-            return False
-        # The address is computed once, before the policy decision (hardware
-        # AGUs run regardless); the Perfect predictor's oracle needs it.
-        # Source registers cannot change while the load waits, so delayed
-        # retries reuse it.  The *value* is re-read at actual issue because
-        # an older store may have drained in the meantime.
+        # The address is computed before the policy decision (hardware AGUs
+        # run regardless; the Perfect predictor's oracle needs it) and kept
+        # once the load passes disambiguation.  Source registers cannot
+        # change while the load waits, so delayed retries reuse it.  The
+        # *value* is read at actual issue because an older store may have
+        # drained in the meantime.
         inst = uop.inst
-        if uop.addr is None:
+        addr = uop.addr
+        fresh = addr is None
+        if fresh:
             base = self.prf.value[uop.src_pregs[0]] if inst.rs1 is not None else 0
-            uop.addr = inst.opcode.semantics(base, 0, inst.imm)
-            uop.line = self.hierarchy.line_of(uop.addr)
-        forward = self.sq.forward_source(uop.addr, uop.seq)
-        if forward is not None and forward.store_value is None:
-            # The matching store's data has not arrived; the forwarded value
-            # would be wrong — retry next cycle.
-            return False
+            addr = inst.opcode.semantics(base, 0, inst.imm)
+        forward = None
+        stores = self.sq._entries
+        if stores and stores[0].seq < uop.seq:
+            # Conservative disambiguation: wait until every older store has
+            # computed its address.  The same walk finds the forwarding store.
+            known, forward = self.sq.load_scan(addr, uop.seq)
+            if not known:
+                return False
+            if forward is not None and forward.store_value is None:
+                # The matching store's data has not arrived; the forwarded
+                # value would be wrong — retry next cycle.
+                return False
+        # Otherwise no store older than the load is in flight (the SQ is in
+        # program order, so its head settles it): nothing to wait for and
+        # nothing to forward, and a delayed load's retry goes straight to
+        # the scheme's decision.
+        if fresh:
+            uop.addr = addr
+            uop.line = self.hierarchy.line_of(addr)
         tx = uop.tx
         had_level = tx.predicted_level is not None
         decision = self.protection.load_issue_decision(uop)
         action = decision.action
-        if self.observers:
-            for observer in self.observers:
+        observers = self.observers
+        if observers:
+            for observer in observers:
                 observer.on_load_decision(uop, self.cycle, decision)
         if action is _LOAD_DELAY:
             self._n_load_delays += 1
@@ -1195,7 +1287,11 @@ class Core:
         uop.state = _ISSUED
         # The ISS's load semantics (FLOAD coerces to float, LOAD to a
         # wrapped 64-bit integer) keep the golden-model comparison exact.
-        uop.value = inst.opcode.load_result(self.speculative_read(uop.addr, uop.seq))
+        # The value is what speculative_read would return: the forwarding
+        # store's data, else committed memory.
+        uop.value = inst.opcode.load_result(
+            forward.store_value if forward is not None else self.committed.read_mem(addr)
+        )
         if action is _LOAD_NORMAL:
             self._n_load_normal += 1
             self._issue_load_normal(uop, forward)
@@ -1207,8 +1303,8 @@ class Core:
             self._issue_load_buffered(uop, forward)
         else:  # pragma: no cover - exhaustive over LoadIssueAction
             raise AssertionError(f"no issue path for {action}")
-        if self.observers:
-            for observer in self.observers:
+        if observers:
+            for observer in observers:
                 observer.on_issue(uop, self.cycle)
         return True
 
@@ -1367,30 +1463,35 @@ class Core:
     # Completion / writeback
     # ------------------------------------------------------------------ #
 
-    def _complete(self, uop: DynInst) -> None:
-        if uop.is_load:
-            self._writeback(uop, uop.value)
-            return
-        if uop.is_store:
-            uop.state = _COMPLETED
-            uop.complete_cycle = self.cycle
-            if self.observers:
-                for observer in self.observers:
-                    observer.on_complete(uop, self.cycle)
-            return
-        self._writeback(uop, uop.result)
-
     def _writeback(self, uop: DynInst, value: int | float | None) -> None:
+        """Complete ``uop`` with ``value``: write its destination register
+        and wake the register's consumers (one with no other operand
+        outstanding joins the ready list at its IQ position)."""
         if uop.state.done:
             return
-        if uop.dest_preg is not None:
-            self._mark_ready(uop.dest_preg, 0 if value is None else value)
+        preg = uop.dest_preg
+        if preg is not None:
+            prf = self.prf
+            prf.value[preg] = 0 if value is None else value
+            prf.ready[preg] = True
+            waiters = self._consumers[preg]
+            if waiters:
+                self._consumers[preg] = []
+                ready = self._ready
+                for waiter in waiters:
+                    if waiter.squashed:
+                        continue
+                    waiter.waiting_on -= 1
+                    if waiter.waiting_on == 0:
+                        insort(ready, waiter, key=_IQ_ORDER)
+        cycle = self.cycle
         uop.state = _COMPLETED
-        uop.complete_cycle = self.cycle
+        uop.complete_cycle = cycle
         if self.observers:
             for observer in self.observers:
-                observer.on_complete(uop, self.cycle)
-        self.protection.on_complete(uop)
+                observer.on_complete(uop, cycle)
+        if self._on_complete is not None:
+            self._on_complete(uop)
 
     # ------------------------------------------------------------------ #
     # Branch resolution
@@ -1411,8 +1512,6 @@ class Core:
         self._apply_branch_resolution(uop)
 
     def _process_pending_resolutions(self) -> None:
-        if not self._pending_resolutions:
-            return
         still_pending: list[DynInst] = []
         for uop in self._pending_resolutions:
             if uop.squashed:
@@ -1431,7 +1530,8 @@ class Core:
             self.bpred.update(uop.pc, uop.prediction, uop.actual_taken)
         if uop.inst.target is not None and uop.actual_taken:
             self.btb.install(uop.pc, uop.inst.target)
-        self.protection.on_complete(uop)
+        if self._on_complete is not None:
+            self._on_complete(uop)
         if uop.actual_next_pc != uop.predicted_next_pc:
             self.stats.bump("branch_squashes")
             if uop.prediction is not None:
@@ -1443,8 +1543,6 @@ class Core:
     # ------------------------------------------------------------------ #
 
     def _process_safe_transitions(self) -> None:
-        if not self._protected_watch:
-            return
         remaining: list[DynInst] = []
         for uop in self._protected_watch:
             if uop.squashed:
@@ -1568,7 +1666,10 @@ class Core:
             self.stats.bump("validation_mismatch_squashes")
             uop.value = current_value
             if uop.dest_preg is not None:
-                self._mark_ready(uop.dest_preg, current_value)
+                # The register is ready (the load wrote it back and still owns
+                # it), so no consumer waits on it: overwriting the value is
+                # the whole update.
+                self.prf.value[uop.dest_preg] = current_value
             tx.invalidated_while_inflight = False
             self.stats.bump(
                 "sdo_squashed_uops", self._squash_after(uop.seq, uop.actual_next_pc)
@@ -1581,7 +1682,8 @@ class Core:
         if tx.predicted_level is None:
             return  # never predicted, or already trained once
         if tx.actual_level is not None:
-            self.protection.on_load_outcome(uop, tx.actual_level)
+            if self._on_load_outcome is not None:
+                self._on_load_outcome(uop, tx.actual_level)
             tx.predicted_level = None
 
     def _fp_became_safe(self, uop: DynInst) -> None:
@@ -1646,36 +1748,47 @@ class Core:
         squashed = self.rob.squash_younger_than(seq)
         if squashed:
             self.stats.bump("squashed_uops", len(squashed))
+        # The oldest squashed branch prediction: every squashed ROB uop is
+        # older than every squashed decode-queue uop, the ROB list runs
+        # youngest first and the decode queue oldest first.
         oldest_snapshot = None
-        oldest_snapshot_seq = None
-        for uop in squashed:  # youngest first
+        on_squash = self._on_squash
+        observers = self.observers
+        cycle = self.cycle
+        iq_pop = self.iq.pop
+        rollback_dest = self.rename_map.rollback_dest
+        free = self.prf.free
+        for uop in squashed:
             uop.squashed = True
-            self.iq.pop(uop, None)
+            iq_pop(uop, None)
             uop.state = _FETCHED
             if uop.dest_preg is not None:
-                self.rename_map.rollback_dest(uop.inst.rd, uop.old_dest_preg)
-                self.prf.free(uop.dest_preg)
-            if uop.prediction is not None and (
-                oldest_snapshot_seq is None or uop.seq < oldest_snapshot_seq
-            ):
+                rollback_dest(uop.inst.rd, uop.old_dest_preg)
+                free(uop.dest_preg)
+            if uop.prediction is not None:
                 oldest_snapshot = uop.prediction
-                oldest_snapshot_seq = uop.seq
-            self.protection.on_squash(uop)
-            if self.observers:
-                for observer in self.observers:
-                    observer.on_squash(uop, self.cycle)
-        for uop in self._decode_queue:
-            if uop.seq > seq:
+            if on_squash is not None:
+                on_squash(uop)
+            if observers:
+                for observer in observers:
+                    observer.on_squash(uop, cycle)
+        decode_queue = self._decode_queue
+        if decode_queue and decode_queue[-1].seq > seq:
+            # The decode queue is in fetch order: its squashed uops are its
+            # tail.
+            keep = len(decode_queue)
+            while keep and decode_queue[keep - 1].seq > seq:
+                keep -= 1
+            for index in range(keep, len(decode_queue)):
+                uop = decode_queue[index]
                 uop.squashed = True
-                if self.observers:
-                    for observer in self.observers:
-                        observer.on_squash(uop, self.cycle)
-                if uop.prediction is not None and (
-                    oldest_snapshot_seq is None or uop.seq < oldest_snapshot_seq
-                ):
+                if observers:
+                    for observer in observers:
+                        observer.on_squash(uop, cycle)
+                if oldest_snapshot is None and uop.prediction is not None:
                     oldest_snapshot = uop.prediction
-                    oldest_snapshot_seq = uop.seq
-        self._decode_queue = deque(u for u in self._decode_queue if u.seq <= seq)
+            while len(decode_queue) > keep:
+                decode_queue.pop()
         if oldest_snapshot is not None:
             # Rewind speculative global history to before the oldest
             # squashed prediction.
@@ -1699,69 +1812,77 @@ class Core:
     # ------------------------------------------------------------------ #
 
     def _commit(self) -> int:
+        """Retire up to ``commit_width`` ready uops from the ROB head."""
         width = self.config.core.commit_width
         entries = self.rob._entries
+        cycle = self.cycle
+        free = self.prf.free
+        observers = self.observers
+        on_commit = self._on_commit
+        golden = self._golden
         committed = 0
-        while width > 0 and entries:
-            head = entries[0]
-            if not self._commit_ready(head):
+        while committed < width and entries:
+            uop = entries[0]
+            # Is the head ready to retire?
+            if uop.is_branch:
+                if not uop.resolved:
+                    break
+            elif not uop.state.done:
                 break
+            else:
+                tx = uop.tx
+                if tx is None:
+                    pass
+                elif uop.is_load:
+                    if tx.pending_squash:
+                        # A failed Obl-Ld cannot commit; it will squash at its
+                        # safe point.  (It cannot be *correct* to commit a
+                        # poisoned value.)
+                        break
+                    if tx.obl_state is not _OBL_NONE and not tx.safe:
+                        # An Obl-Ld retires only after its address untaints
+                        # (its success flag must be checked at the visibility
+                        # point).
+                        break
+                    if tx.needs_validation and not tx.validation_done:
+                        structural = self._structural_stalls
+                        structural["validation_stall_cycles"] = (
+                            structural.get("validation_stall_cycles", 0) + 1
+                        )
+                        self._cycle_validation_stall = True
+                        break
+                elif tx.fp_predicted_fast and not tx.safe:
+                    # A fast-predicted FP transmitter retires only once the
+                    # static "normal operands" prediction has been checked at
+                    # untaint.
+                    break
+            # Retire it.
             entries.popleft()
-            self._do_commit(head)
+            inst = uop.inst
+            if uop.is_store:
+                self.committed.write_mem(uop.addr, uop.store_value)
+                self.hierarchy.store(uop.addr, cycle)
+                self.sq.remove(uop)
+            elif uop.is_load:
+                self.lq.remove(uop)
+            if uop.old_dest_preg is not None and inst.rd != 0:
+                free(uop.old_dest_preg)
+            elif uop.dest_preg is not None and inst.rd == 0:
+                free(uop.dest_preg)
+            uop.state = _RETIRED
+            if observers:
+                for observer in observers:
+                    observer.on_commit(uop, cycle)
+            if on_commit is not None:
+                on_commit(uop)
+            self._n_instructions += 1
+            self._last_commit_cycle = cycle
+            if golden is not None:
+                self._check_against_golden(uop)
+            if inst.opcode is _HALT:
+                self.halted = True
             committed += 1
-            width -= 1
         return committed
-
-    def _commit_ready(self, uop: DynInst) -> bool:
-        if uop.is_branch:
-            return uop.resolved
-        if not uop.state.done:
-            return False
-        tx = uop.tx
-        if tx is None:
-            return True
-        if uop.is_load:
-            if tx.pending_squash:
-                # A failed Obl-Ld cannot commit; it will squash at its safe
-                # point.  (It cannot be *correct* to commit a poisoned value.)
-                return False
-            if tx.obl_state is not _OBL_NONE and not tx.safe:
-                # An Obl-Ld retires only after its address untaints (its
-                # success flag must be checked at the visibility point).
-                return False
-            if tx.needs_validation and not tx.validation_done:
-                self.stats.bump("validation_stall_cycles")
-                self._cycle_validation_stall = True
-                return False
-        elif tx.fp_predicted_fast and not tx.safe:
-            # A fast-predicted FP transmitter retires only once the static
-            # "normal operands" prediction has been checked at untaint.
-            return False
-        return True
-
-    def _do_commit(self, uop: DynInst) -> None:
-        inst = uop.inst
-        if uop.is_store:
-            self.committed.write_mem(uop.addr, uop.store_value)
-            self.hierarchy.store(uop.addr, self.cycle)
-            self.sq.remove(uop)
-        elif uop.is_load:
-            self.lq.remove(uop)
-        if uop.old_dest_preg is not None and inst.rd != 0:
-            self.prf.free(uop.old_dest_preg)
-        elif uop.dest_preg is not None and inst.rd == 0:
-            self.prf.free(uop.dest_preg)
-        uop.state = _RETIRED
-        if self.observers:
-            for observer in self.observers:
-                observer.on_commit(uop, self.cycle)
-        self.protection.on_commit(uop)
-        self._n_instructions += 1
-        self._last_commit_cycle = self.cycle
-        if self._golden is not None:
-            self._check_against_golden(uop)
-        if inst.opcode is _HALT:
-            self.halted = True
 
     def _check_against_golden(self, uop: DynInst) -> None:
         golden_record = self._golden.step()

@@ -52,14 +52,21 @@ class StoreQueue:
         are program-ordered, so only the head can be the oldest."""
         return bool(self._entries) and self._entries[0].seq < seq
 
-    def all_addresses_known_before(self, seq: int) -> bool:
-        """True if every store older than ``seq`` has computed its address."""
+    def load_scan(self, addr: int, seq: int) -> tuple[bool, DynInst | None]:
+        """One walk over the stores older than a load at ``seq``: whether
+        every one has computed its address (the conservative disambiguation
+        gate; ``(False, None)`` as soon as one has not), and the youngest
+        one writing ``addr`` (the forwarding source), if any."""
+        best: DynInst | None = None
         for store in self._entries:
             if store.seq >= seq:
                 break
-            if store.addr is None:
-                return False
-        return True
+            store_addr = store.addr
+            if store_addr is None:
+                return False, None
+            if store_addr == addr:
+                best = store
+        return True, best
 
     def forward_source(self, addr: int, seq: int) -> DynInst | None:
         """Youngest store older than ``seq`` writing ``addr``, if any."""

@@ -170,3 +170,27 @@ class ProtectionScheme:
 
 class UnsafeProtection(ProtectionScheme):
     """Explicit alias for readability at call sites."""
+
+
+#: The notification hooks whose :class:`ProtectionScheme` versions do
+#: nothing.  The core binds each one once, when the scheme is attached (see
+#: :func:`defined_hook`), and never calls one the scheme does not define.
+LIFECYCLE_HOOKS = (
+    "on_rename",
+    "begin_cycle",
+    "on_complete",
+    "on_commit",
+    "on_squash",
+    "on_load_outcome",
+)
+
+
+def defined_hook(scheme: ProtectionScheme, name: str):
+    """``scheme``'s bound lifecycle hook ``name``, or ``None`` when the
+    scheme inherits the no-op from :class:`ProtectionScheme` unchanged (so
+    the caller can skip the call).  Compared as the base class's attribute
+    *now*, so a wrapper installed on the base class counts as inherited."""
+    hook = getattr(scheme, name)
+    if getattr(hook, "__func__", None) is getattr(ProtectionScheme, name):
+        return None
+    return hook

@@ -29,16 +29,6 @@ class PhysRegFile:
         self.value[preg] = value
         self.ready[preg] = True
 
-    def allocate(self) -> int | None:
-        """Pop a free register, or None if the file is exhausted (stall)."""
-        if not self._free:
-            return None
-        preg = self._free.pop()
-        self.ready[preg] = False
-        self.value[preg] = 0
-        self.taint_root[preg] = None
-        return preg
-
     def free(self, preg: int) -> None:
         self._free.append(preg)
 
@@ -80,17 +70,6 @@ class RenameMap:
     def lookup(self, arch: int) -> int:
         return self._map[arch]
 
-    def lookup_all(self, archs: tuple[int, ...]) -> tuple[int, ...]:
-        """The physical registers ``archs`` map to, in order."""
-        mapping = self._map
-        # An instruction reads at most two registers: index them directly
-        # rather than build an iterator per renamed uop.
-        if len(archs) == 2:
-            return (mapping[archs[0]], mapping[archs[1]])
-        if len(archs) == 1:
-            return (mapping[archs[0]],)
-        return tuple([mapping[arch] for arch in archs])
-
     def rename_dest(self, arch: int) -> tuple[int, int] | None:
         """Allocate a new physical register for a write to ``arch``.
 
@@ -99,9 +78,15 @@ class RenameMap:
         sink register so the dataflow is uniform; the mapping is simply not
         updated, preserving r0 == 0.
         """
-        new_preg = self.prf.allocate()
-        if new_preg is None:
+        prf = self.prf
+        if not prf._free:
             return None
+        # Allocate: pop a free register and reset it (not ready, value 0,
+        # untainted).
+        new_preg = prf._free.pop()
+        prf.ready[new_preg] = False
+        prf.value[new_preg] = 0
+        prf.taint_root[new_preg] = None
         old_preg = self._map[arch]
         if arch != 0:
             self._map[arch] = new_preg

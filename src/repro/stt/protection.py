@@ -45,22 +45,23 @@ class SttProtection(ProtectionScheme):
     # --- taint ---------------------------------------------------------- #
 
     def on_rename(self, uop: DynInst) -> None:
-        prf = self.core.prf
+        taint_roots = self.core.prf.taint_root
         src_root = None
         for preg in uop.src_pregs:
-            root = prf.taint_root[preg]
+            root = taint_roots[preg]
             if root is not None and (src_root is None or root > src_root):
                 src_root = root
         uop.src_taint_root = src_root
         if uop.is_load:
             # Access instruction: output tainted with its own seq as the
             # youngest root of taint (it is younger than any source root).
-            uop.taint_root = uop.seq
+            root = uop.seq
             self.stats.bump("access_taints")
         else:
-            uop.taint_root = src_root
+            root = src_root
+        uop.taint_root = root
         if uop.dest_preg is not None:
-            prf.taint_root[uop.dest_preg] = uop.taint_root
+            taint_roots[uop.dest_preg] = root
         self.frontier.register(uop)
 
     def begin_cycle(self, cycle: int) -> None:

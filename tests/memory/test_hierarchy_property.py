@@ -3,6 +3,7 @@ and batched warm-up (final-state install, pending sets, slice bucketing)
 against per-address fills."""
 
 import dataclasses
+import gc
 from collections import OrderedDict
 
 from hypothesis import given, seed, settings, strategies as st
@@ -277,6 +278,31 @@ class TestWarmInstall:
         tlb = batched.tlb
         assert all(len(entries) == tlb.config.assoc for entries in tlb._sets)
         assert hierarchy_state(batched) == hierarchy_state(reference)
+
+
+class TestWarmCollectorChurn:
+    def test_large_warm_starts_no_old_generation_collection(self):
+        """Warm-up allocates no container per cache set: warming 40k lines
+        (spread over every set of every level, as a big table's warm set
+        is) sets off no generation-1/2 collection and at most one
+        generation-0 one."""
+        hierarchy = MemoryHierarchy(MachineConfig())
+        addrs = [64 * line for line in range(40_000)]
+        started: list[int] = []
+
+        def on_gc(phase, info):
+            if phase == "start":
+                started.append(info["generation"])
+
+        gc.collect()
+        gc.callbacks.append(on_gc)
+        try:
+            hierarchy.warm(addrs)
+        finally:
+            gc.callbacks.remove(on_gc)
+        assert started.count(0) <= 1, started
+        assert not [generation for generation in started if generation > 0], started
+        assert hierarchy.l2.array.occupancy() == hierarchy.l2.array.num_sets * 8
 
 
 def reference_slice_of_line(line: int, num_slices: int) -> int:

@@ -105,8 +105,9 @@ class TestStoreQueue:
         sq = StoreQueue(4)
         sq.push(self._store(0, addr=8))
         sq.push(self._store(1, addr=None))
-        assert sq.all_addresses_known_before(1)
-        assert not sq.all_addresses_known_before(2)
+        assert sq.load_scan(8, 1) == (True, sq._entries[0])
+        assert sq.load_scan(16, 1) == (True, None)
+        assert sq.load_scan(8, 2) == (False, None)
 
     def test_forward_source_picks_youngest_older(self):
         sq = StoreQueue(4)

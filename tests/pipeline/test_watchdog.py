@@ -5,9 +5,11 @@ import json
 import pytest
 
 from repro.common.config import MachineConfig
+from repro.isa import Instruction, Opcode
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.pipeline import Core, DeadlockError, SimulationHang, UnsafeProtection
 from repro.pipeline.protection import IssueDecision, LoadIssueAction
+from repro.pipeline.uop import DynInst
 from repro.workloads import make_indirect_stream
 
 WORKLOAD = make_indirect_stream("watchdog_unit", table_words=128, iterations=20, seed=7)
@@ -59,6 +61,21 @@ class TestWatchdog:
         message = str(excinfo.value)
         assert "ROB head" in message and "load" in message
         assert "stt_delay" in message
+
+    def test_snapshot_names_the_head_event_and_pending_count(self):
+        """The earliest pending event, first in scheduling order within its
+        cycle, and the number of events pending across every cycle."""
+        core = make_core()
+        add = Instruction(Opcode.ADD, rd=None, rs1=1, rs2=2)
+        uops = [DynInst(seq, 0, add) for seq in range(4)]
+        core._schedule(7, "complete", uops[0])
+        core._schedule(5, "branch_resolve", uops[1])
+        core._schedule(5, "obl_resp", uops[2])
+        core._schedule(9, "validation_done", uops[3])
+        diag = core._hang_diagnostics(100)
+        assert diag.event_heap_head == f"branch_resolve@5 for {uops[1]!r}"
+        assert diag.event_heap_size == 4
+        assert "event heap head branch_resolve@5" in str(diag)
 
     def test_simulation_hang_is_a_deadlock_error(self):
         """Existing callers catch DeadlockError; the richer exception must
