@@ -15,10 +15,6 @@ The most useful entry points:
 >>> from repro.security import run_spectre_v1
 >>> run_spectre_v1("Unsafe").leaked                       # doctest: +SKIP
 True
-
-Distributed sweeps go through :mod:`repro.fabric`: point the session's
-:class:`ExecutionPolicy` at a scheduler (``fabric="http://host:8700"``)
-and ``sweep()`` transparently fans out across its workers.
 """
 
 from repro.common.config import AttackModel, MachineConfig, MemLevel

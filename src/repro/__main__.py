@@ -14,12 +14,6 @@ Commands:
                  (``--timeout``), retries for transient failures
                  (``--retries``), and resumable runs
                  (``--journal`` + ``--resume``)
-* ``fabric``   — the distributed sweep fabric: ``fabric serve`` runs the
-                 scheduler service, ``fabric work`` runs a worker agent
-                 against it, ``fabric status`` pings a scheduler, and
-                 ``fabric chaos`` interposes a seeded fault-injecting
-                 proxy for resilience drills.  Submit to a fabric with
-                 ``sweep --fabric http://host:8700``.
 * ``lint``     — run the sdolint invariant checkers (oblivious-timing,
                  stat-key, determinism, event-schema)
                  against the committed ratchet baseline
@@ -96,7 +90,6 @@ def _session_from(args, observers=()) -> Session:
             jobs=args.jobs,
             timeout=args.timeout,
             retries=args.retries,
-            fabric=getattr(args, "fabric", None),
             replay=getattr(args, "replay", False),
         ),
         cache=CachePolicy(
@@ -260,116 +253,6 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_fabric(args) -> int:
-    if args.fabric_command == "serve":
-        from repro.fabric.scheduler import DEFAULT_COMPACT_EVERY, serve
-
-        if args.compact_every is None:
-            compact_every = DEFAULT_COMPACT_EVERY
-        elif args.compact_every == 0:
-            compact_every = None  # 0 on the CLI disables auto-compaction
-        else:
-            compact_every = args.compact_every
-        serve(
-            args.state_dir,
-            host=args.host,
-            port=args.port,
-            cache_dir=args.cache_dir,
-            lease_seconds=args.lease_seconds,
-            max_pending=args.max_pending,
-            compact_every=compact_every,
-        )
-        return 0
-    if args.fabric_command == "work":
-        import contextlib
-        import json
-        import os
-
-        from repro.fabric.transport import TransportPolicy
-        from repro.fabric.worker import WorkerAgent
-        from repro.testing.faults import FaultPlan, inject
-
-        policy = None
-        if args.transport_retries is not None:
-            policy = TransportPolicy(retries=args.transport_retries)
-        agent = WorkerAgent(
-            args.url,
-            cache_dir=args.cache_dir,
-            worker_id=args.worker_id,
-            max_idle_seconds=args.max_idle,
-            transport_policy=policy,
-        )
-        plan_path = os.environ.get("REPRO_FAULT_PLAN")
-        context = (
-            inject(FaultPlan.from_dict(json.loads(pathlib.Path(plan_path).read_text())))
-            if plan_path
-            else contextlib.nullcontext()
-        )
-        print(f"fabric-worker {agent.worker_id} polling {args.url}", flush=True)
-        with context:
-            stats = agent.run_forever()
-        print(f"fabric-worker {agent.worker_id} done: {json.dumps(stats)}", flush=True)
-        return 0
-    if args.fabric_command == "status":
-        from repro.fabric.transport import FabricError, HttpTransport
-
-        try:
-            reply = HttpTransport(args.url, timeout=5.0).get_json("/v1/ping")
-        except FabricError as exc:
-            print(f"unreachable: {exc}")
-            return 1
-        print(
-            f"scheduler at {args.url}: {reply['sweeps']} sweeps, "
-            f"{reply['cells']} cells ({reply['pending']} pending), "
-            f"wire schema v{reply['schema']}"
-        )
-        return 0
-    if args.fabric_command == "chaos":
-        import json
-        import time
-
-        from repro.fabric.chaos import ChaosPlan, ChaosProxy, ChaosSpec
-
-        if args.plan is not None:
-            plan = ChaosPlan.from_dict(
-                json.loads(pathlib.Path(args.plan).read_text())
-            )
-        else:
-            rate = args.rate
-            plan = ChaosPlan(
-                args.seed,
-                {
-                    "*": ChaosSpec(
-                        drop_request=rate,
-                        drop_response=rate,
-                        delay=rate,
-                        duplicate=rate,
-                        truncate=rate,
-                        corrupt=rate,
-                    )
-                },
-            )
-        proxy = ChaosProxy(
-            args.upstream, plan, host=args.host, port=args.port, ledger=args.ledger
-        )
-        proxy.start()
-        print(
-            f"chaos proxy listening on {proxy.url} -> {args.upstream} "
-            f"(seed {plan.seed})",
-            flush=True,
-        )
-        try:
-            while True:
-                time.sleep(1.0)
-        except KeyboardInterrupt:
-            pass
-        finally:
-            proxy.stop()
-            print(f"chaos proxy stats: {json.dumps(proxy.stats)}", flush=True)
-        return 0
-    raise AssertionError(f"unhandled fabric command {args.fabric_command!r}")
-
-
 def _add_engine_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--jobs", type=int, default=1, metavar="N",
@@ -466,94 +349,12 @@ def main(argv=None) -> int:
              "already holds",
     )
     sweep.add_argument(
-        "--fabric", default=None, metavar="URL",
-        help="submit the sweep to a fabric scheduler (e.g. "
-             "http://host:8700) instead of executing locally; --jobs and "
-             "--timeout/--retries then apply on the fabric's workers",
-    )
-    sweep.add_argument(
         "--replay", action="store_true",
         help="record each workload's architectural trace once and replay "
              "it across every config/model cell sharing it (bit-identical "
              "metrics; traces are stored beside the result cache)",
     )
     _add_engine_options(sweep)
-
-    fabric = sub.add_parser(
-        "fabric", help="distributed sweep fabric: scheduler and workers"
-    )
-    fabric_sub = fabric.add_subparsers(dest="fabric_command", required=True)
-    serve_p = fabric_sub.add_parser("serve", help="run the scheduler service")
-    serve_p.add_argument(
-        "--state-dir", default=".repro-fabric",
-        help="durable queue + artifact store directory (default .repro-fabric/)",
-    )
-    serve_p.add_argument("--host", default="127.0.0.1")
-    serve_p.add_argument("--port", type=int, default=8700)
-    serve_p.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="shared artifact store (default <state-dir>/artifacts)",
-    )
-    serve_p.add_argument(
-        "--lease-seconds", type=float, default=15.0,
-        help="cell lease duration; a worker silent this long is presumed dead",
-    )
-    serve_p.add_argument(
-        "--max-pending", type=int, default=None, metavar="N",
-        help="admission control: reject submissions (HTTP 429 + Retry-After) "
-             "that would push the pending queue past N cells (default: "
-             "unbounded)",
-    )
-    serve_p.add_argument(
-        "--compact-every", type=int, default=None, metavar="N",
-        help="compact the durable queue journal after every N appended "
-             "records (default 4096; 0 disables auto-compaction)",
-    )
-    work_p = fabric_sub.add_parser("work", help="run a worker agent")
-    work_p.add_argument("url", help="scheduler URL, e.g. http://host:8700")
-    work_p.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="worker-local result cache (checked before the artifact store)",
-    )
-    work_p.add_argument("--worker-id", default=None)
-    work_p.add_argument(
-        "--max-idle", type=float, default=None, metavar="SECONDS",
-        help="exit after this long without work (default: poll forever)",
-    )
-    work_p.add_argument(
-        "--transport-retries", type=int, default=None, metavar="N",
-        help="retry budget for transient scheduler request failures "
-             "(default: the TransportPolicy default)",
-    )
-    status_p = fabric_sub.add_parser("status", help="ping a scheduler")
-    status_p.add_argument("url")
-    chaos_p = fabric_sub.add_parser(
-        "chaos",
-        help="run a fault-injecting proxy in front of a scheduler",
-    )
-    chaos_p.add_argument("upstream", help="scheduler URL to proxy, e.g. http://host:8700")
-    chaos_p.add_argument("--host", default="127.0.0.1")
-    chaos_p.add_argument(
-        "--port", type=int, default=0,
-        help="listen port (default: an ephemeral port, printed on start)",
-    )
-    chaos_p.add_argument(
-        "--plan", default=None, metavar="FILE",
-        help="JSON ChaosPlan (seed + per-endpoint fault specs); overrides "
-             "--seed/--rate",
-    )
-    chaos_p.add_argument(
-        "--seed", type=int, default=0,
-        help="seed for the built-in uniform plan (default 0)",
-    )
-    chaos_p.add_argument(
-        "--rate", type=float, default=0.05, metavar="P",
-        help="per-fault-kind rate for the built-in uniform plan (default 0.05)",
-    )
-    chaos_p.add_argument(
-        "--ledger", default=None, metavar="FILE",
-        help="append a JSONL record of every injected fault to FILE",
-    )
 
     from repro.lint.cli import add_lint_arguments
 
@@ -586,11 +387,10 @@ def main(argv=None) -> int:
         "interfere": _cmd_interfere,
         "run": _cmd_run,
         "sweep": _cmd_sweep,
-        "fabric": _cmd_fabric,
     }
     try:
         return handlers[args.command](args)
-    except CorruptLogError as exc:  # a damaged sweep journal or scheduler queue
+    except CorruptLogError as exc:  # a damaged sweep journal
         print(f"error: {exc}", file=sys.stderr)
         print(f"hint: move {exc.source} aside and rerun to start afresh", file=sys.stderr)
         return 2

@@ -1,8 +1,9 @@
-"""One JSON codec for the frozen dataclasses that cross a process boundary.
+"""One JSON codec for the frozen dataclasses that are persisted or keyed on.
 
-Requests, metrics, configs and policies travel to fabric workers, into the
-result cache and into journals as JSON.  :class:`Codec` gives a dataclass
-its ``to_dict``/``from_dict`` pair, driven by ``dataclasses.fields`` and
+Metrics, failures and events are written to the result cache, the sweep
+journal and the event log as JSON, and configs are hashed into cache keys
+in the same form.  :class:`Codec` gives a dataclass its
+``to_dict``/``from_dict`` pair, driven by ``dataclasses.fields`` and
 the resolved annotations (worked out once per class).
 
 Encoding, by value:
@@ -85,7 +86,7 @@ def _decoder(hint: object) -> Callable[[object], object] | None:
 @functools.cache
 def _plan(cls: type) -> tuple[tuple[str, Callable | None, bool], ...]:
     """Per field of ``cls``: (name, decoder, required)."""
-    hints = typing.get_type_hints(cls, localns=cls._codec_namespace())
+    hints = typing.get_type_hints(cls)
     return tuple(
         (
             f.name,
@@ -98,12 +99,6 @@ def _plan(cls: type) -> tuple[tuple[str, Callable | None, bool], ...]:
 
 class Codec:
     """Mixin giving a dataclass the field-driven ``to_dict``/``from_dict``."""
-
-    @staticmethod
-    def _codec_namespace() -> dict[str, object]:
-        """Names the annotations need beyond the module's globals (for a
-        class imported only under ``TYPE_CHECKING`` to break a cycle)."""
-        return {}
 
     def to_dict(self) -> dict[str, object]:
         """JSON-ready representation (inverse of :meth:`from_dict`)."""

@@ -22,7 +22,8 @@ the *Spectre* or *Futuristic* attack model.
 
 Every config class is a :class:`~repro.common.codec.Codec`: its
 ``to_dict``/``from_dict`` JSON form (enums by value, nested configs
-recursively) is how a machine travels to fabric workers.
+recursively) is what the result cache keys a machine and its configuration
+on.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Durable storage: one append-only JSONL log, one sharded blob store, one rule.
 
-* A **log** (:class:`JsonlLog`) flushes every append and fsyncs every
-  snapshot.  On read only a torn tail is tolerated: the last non-blank line,
+* A **log** (:class:`JsonlLog`) flushes every append.  On read only a torn
+  tail is tolerated: the last non-blank line,
   which a crash mid-append can leave half written, is dropped.  A line that
   does not parse, or a record the loader cannot apply, anywhere else raises
   :class:`CorruptLogError` naming the file and the 1-based line.
@@ -49,19 +49,11 @@ def _replay_lines(text: str, source: object, apply: Callable[[dict], object]) ->
     return len(lines)
 
 
-def parse_lines(text: str, source: object) -> list:
-    """The records of a JSONL text under the torn-tail rule."""
-    records: list = []
-    _replay_lines(text, source, records.append)
-    return records
-
-
 class JsonlLog:
     """An append-only file of JSON lines (see the module docstring)."""
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
-        self._snapshot = self.path.with_name(self.path.name + ".compact")
         self._fh = None
 
     def append(self, record: dict) -> None:
@@ -78,10 +70,7 @@ class JsonlLog:
         self._fh.flush()
 
     def replay(self, apply: Callable[[dict], object]) -> int:
-        """:func:`_replay_lines` over the file (a missing one applies nothing).
-        A leftover snapshot temp file, from a crash mid-:meth:`rewrite`, is
-        discarded: the log itself is still complete."""
-        self._snapshot.unlink(missing_ok=True)
+        """:func:`_replay_lines` over the file (a missing one applies nothing)."""
         try:
             # Undecodable bytes become U+FFFD and fail to parse like any
             # other corrupt line.
@@ -94,18 +83,6 @@ class JsonlLog:
         records: list = []
         self.replay(records.append)
         return records
-
-    def rewrite(self, records: list) -> None:
-        """Atomically replace the log with ``records``: the snapshot is
-        fsynced in a sibling temp file before ``os.replace`` swaps it in, so
-        a crash at any instant leaves the complete old or new log."""
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self._snapshot.open("w") as fh:
-            fh.writelines(json.dumps(record, sort_keys=True) + "\n" for record in records)
-            fh.flush()
-            os.fsync(fh.fileno())
-        self.close()
-        os.replace(self._snapshot, self.path)
 
     def close(self) -> None:
         if self._fh is not None:

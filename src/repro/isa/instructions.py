@@ -174,8 +174,8 @@ class Instruction:
         """JSON-ready representation (inverse of :meth:`from_dict`).
 
         ``None`` fields are dropped for compactness — a program is thousands
-        of instructions on the fabric wire.  The opcode travels by enum
-        *name* (``"FLOAD"``), which is stable across mnemonic edits.
+        of instructions.  The opcode is written by enum *name*
+        (``"FLOAD"``), which is stable across mnemonic edits.
         """
         payload: dict[str, object] = {"opcode": self.opcode.name}
         for attr in ("rd", "rs1", "rs2", "target", "label"):

@@ -24,7 +24,7 @@ This package exploits that:
   the trace is missing, torn, or too short.
 
 The trace schema has its own version-bump rule (``TRACE_SCHEMA_VERSION``),
-mirroring the result cache and fabric wire schemas; ``tests/sim/test_wire_pin.py``
+mirroring the result cache's ``SCHEMA_VERSION``; ``tests/sim/test_wire_pin.py``
 pins every generated request's ``trace_key`` and fails on a drift without it.
 """
 

@@ -69,8 +69,8 @@ class TraceReplayer:
 
     ``ensure(request)`` makes the store cover the request (recording the
     trace functionally if absent); ``replay(request)`` then produces the
-    bit-identical metrics.  The sweep engine and the fabric worker both
-    drive this ensure-then-replay shape.
+    bit-identical metrics.  The sweep engine drives this
+    ensure-then-replay shape.
     """
 
     def __init__(self, store: TraceStore) -> None:

@@ -23,7 +23,7 @@ instructions deep, the ROB-depth horizon past an unresolved branch
   in the modelled machine stores touch memory at commit (squashed stores
   leave no trace) and branch resolution is not priced by operand value.
 
-Soundness scope (see DESIGN.md §13): taint through *memory* is not
+Soundness scope (see DESIGN.md §11): taint through *memory* is not
 tracked — a speculative store forwarding secret data to a younger load
 inside the same window is invisible to this analysis.  The corpus pins
 that gap with an annotated entry rather than pretending it is closed.

@@ -9,9 +9,7 @@ through :mod:`repro.sim.engine`'s worker pool, the content-addressed
 :mod:`repro.sim.cache`, and the :mod:`repro.sim.events` observer stream.
 
 Session behaviour is configured by the frozen policy objects in
-:mod:`repro.sim.policies`; an :class:`~repro.sim.policies.ExecutionPolicy`
-with a ``fabric`` URL routes sweeps to the distributed scheduler in
-:mod:`repro.fabric`.
+:mod:`repro.sim.policies`.
 """
 
 from repro.sim.api import (

@@ -15,7 +15,7 @@ on-disk result cache, and event observers — and offers three entry points:
 >>> metrics = session.run(workload, "Hybrid")             # doctest: +SKIP
 >>> results = session.sweep(suite())                      # doctest: +SKIP
 
-Session behaviour (worker pool, cache, journal, fabric routing) is
+Session behaviour (worker pool, cache, journal, replay) is
 configured by the frozen policy objects in :mod:`repro.sim.policies`.
 """
 
@@ -77,7 +77,6 @@ class Instrumentation(Codec):
     engine bypasses the result cache for it in both directions — an
     instrumented run is never served from cache (the trace files must be
     produced) and never stored (profile stats describe this machine only).
-    For the same reason the fabric client refuses an active one.
     """
 
     trace_jsonl: str | Path | None = None
@@ -172,8 +171,6 @@ class RunRequest(Codec):
 
     Frozen: a request is a value.  Two equal requests produce equal metrics
     (simulation is deterministic), which is what the result cache keys on.
-    Its ``to_dict`` form is what travels to the fabric scheduler: everything
-    a remote worker needs to reproduce the cell bit-identically.
     """
 
     workload: Workload
@@ -335,7 +332,6 @@ class Session:
     >>> from repro.sim.policies import CachePolicy, ExecutionPolicy  # doctest: +SKIP
     >>> Session(execution=ExecutionPolicy(jobs=4, retries=2))        # doctest: +SKIP
     >>> Session(cache=CachePolicy(enabled=False))                    # doctest: +SKIP
-    >>> Session(execution=ExecutionPolicy(fabric="http://host:8700"))  # doctest: +SKIP
 
     Parameters
     ----------
@@ -344,9 +340,8 @@ class Session:
         omitted); per-request machines override it.
     execution:
         :class:`~repro.sim.policies.ExecutionPolicy` — worker count,
-        per-run timeout, retry policy, watchdog window, and the optional
-        ``fabric`` scheduler URL that routes sweeps to the distributed
-        fabric instead of the in-process pool.
+        per-run timeout, retry policy, watchdog window, and the replay
+        backend.
     cache:
         :class:`~repro.sim.policies.CachePolicy`, or a ready-made
         :class:`~repro.sim.cache.ResultCache`.  Defaults to the on-disk
@@ -432,7 +427,6 @@ class Session:
             fail_on_unhalted=self.execution.fail_on_unhalted,
             trace_store=self.trace_store,
         )
-        self._fabric_client = None
         self._closed = False
 
     @property
@@ -443,16 +437,13 @@ class Session:
         self.engine.add_observer(observer)
 
     def close(self) -> None:
-        """Release session resources: the fabric client connection (if any)
-        and the sweep journal.  Idempotent — safe to call any number of
-        times, including via the context-manager protocol *and* explicitly.
+        """Release session resources: the sweep journal.  Idempotent — safe
+        to call any number of times, including via the context-manager
+        protocol *and* explicitly.
         """
         if self._closed:
             return
         self._closed = True
-        if self._fabric_client is not None:
-            self._fabric_client.close()
-            self._fabric_client = None
         if self.journal is not None:
             self.journal.close()
 
@@ -461,16 +452,6 @@ class Session:
 
     def __exit__(self, *_exc) -> None:
         self.close()
-
-    def _fabric(self):
-        """The lazily created fabric client (``execution.fabric`` is set)."""
-        if self._fabric_client is None:
-            from repro.fabric.client import FabricClient
-
-            self._fabric_client = FabricClient(
-                self.execution.fabric, execution=self.execution
-            )
-        return self._fabric_client
 
     def request(
         self,
@@ -544,19 +525,10 @@ class Session:
         With ``strict=False`` (default) crashed cells come back as
         :class:`RunFailure` entries; with ``strict=True`` the first failure
         raises ``RuntimeError`` after the whole batch has completed.
-
-        When the session's :class:`~repro.sim.policies.ExecutionPolicy`
-        names a ``fabric`` scheduler, the batch is submitted there instead
-        of the in-process pool; events stream back through the same
-        observers, and settled outcomes land in the local cache and journal
-        exactly as a local run's would.
         """
         if self._closed:
             raise RuntimeError("Session is closed")
-        if self.execution.fabric is not None:
-            outcomes = self._run_on_fabric(requests)
-        else:
-            outcomes = self.engine.run(requests)
+        outcomes = self.engine.run(requests)
         if strict:
             failures = [o for o in outcomes if isinstance(o, RunFailure)]
             if failures:
@@ -566,35 +538,6 @@ class Session:
                 raise RuntimeError(
                     f"{len(failures)}/{len(outcomes)} runs failed: {summary}"
                 ) from None
-        return outcomes
-
-    def _run_on_fabric(self, requests: Sequence[RunRequest]) -> list[RunOutcome]:
-        """Submit a batch to the fabric scheduler and await its outcomes.
-
-        Every request goes over the wire — including ones the local cache
-        could answer — so event indices line up with the submitted batch
-        and the scheduler's artifact store stays the source of truth.
-        Settled outcomes are then recorded locally (cache + journal) so a
-        later offline run of the same cells is free.
-        """
-        for request in requests:
-            if request.instrumentation is not None and request.instrumentation.active:
-                raise ValueError(
-                    "instrumented runs are host-bound (trace/profile output "
-                    "lands on the worker) and cannot be submitted to a "
-                    f"fabric: {request.workload.name}/{request.config.name}"
-                )
-        outcomes = self._fabric().run_many(requests, emit=self.engine.emit_event)
-        if self.cache is not None or self.journal is not None:
-            from repro.sim.cache import cache_key
-
-            for request, outcome in zip(requests, outcomes):
-                key = cache_key(request)
-                if self.cache is not None and isinstance(outcome, RunMetrics):
-                    if self.cache.get_key(key) is None:
-                        self.cache.put_key(key, outcome)
-                if self.journal is not None:
-                    self.journal.record(key, outcome)
         return outcomes
 
     def sweep(
@@ -612,8 +555,7 @@ class Session:
         """The full evaluation grid: every (model, workload, config) cell.
 
         Result order is deterministic — attack models outermost, then
-        workloads, then configs — regardless of worker count, cache hits,
-        or fabric scheduling.
+        workloads, then configs — regardless of worker count or cache hits.
         """
         requests = [
             self.request(workload, config, attack_model, machine=machine)
@@ -627,12 +569,11 @@ class Session:
 def _rebrand(outcome: RunOutcome, request: RunRequest) -> RunOutcome:
     """Stamp a stored outcome with the request's workload name.
 
-    The cache, the journal and the fabric's artifact store are all
-    content-addressed on the *semantic* inputs, which leave out the
-    workload's name and description.  A renamed but otherwise identical
-    workload hits the same entry, so the workload name on the returned
-    metrics or failure must come from the request, not from whoever stored
-    it.  The config (its name included) and the attack model are in the
+    The cache and the journal are both content-addressed on the *semantic*
+    inputs, which leave out the workload's name and description.  A renamed
+    but otherwise identical workload hits the same entry, so the workload
+    name on the returned metrics or failure must come from the request, not
+    from whoever stored it.  The config (its name included) and the attack model are in the
     key, so a hit already carries the request's.
     """
     if outcome.workload == request.workload.name:

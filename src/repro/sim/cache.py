@@ -82,22 +82,11 @@ class ResultCache:
     def get(self, request: RunRequest) -> RunMetrics | None:
         """The cached metrics for ``request``, or ``None`` on a miss.
 
-        The workload name is taken from the request, since the key ignores
-        it (the config and attack model are part of the key).
+        An entry whose key or checksum does not match is a miss.  The
+        workload name is taken from the request, since the key ignores it
+        (the config and attack model are part of the key).
         """
-        metrics = self.get_key(cache_key(request))
-        if metrics is None:
-            return None
-        return _rebrand(metrics, request)
-
-    def get_key(self, key: str) -> RunMetrics | None:
-        """Key-level lookup (the artifact-store face of the cache).
-
-        Unlike :meth:`get` there is no request to rebrand against, so the
-        metrics come back with whatever identity fields the producer stored
-        — fabric callers rebrand against their own request.  An entry whose
-        key or checksum does not match is a miss.
-        """
+        key = cache_key(request)
         blob = self._blobs.read(key)
         if blob is None:
             return None
@@ -105,26 +94,21 @@ class ResultCache:
             entry = json.loads(blob)
             if entry["key"] != key or entry["crc32"] != payload_crc32(entry["metrics"]):
                 return None
-            return RunMetrics.from_dict(entry["metrics"])
+            metrics = RunMetrics.from_dict(entry["metrics"])
         except (ValueError, KeyError, TypeError):
             return None
+        return _rebrand(metrics, request)
 
     def put(self, request: RunRequest, metrics: RunMetrics) -> Path:
         """Store ``metrics`` for ``request``; atomic against readers."""
-        return self.put_key(cache_key(request), metrics)
-
-    def put_key(self, key: str, metrics: RunMetrics) -> Path:
-        """Key-level store (the artifact-store face of the cache)."""
+        key = cache_key(request)
         payload = metrics.to_dict()
         entry = {"key": key, "schema": SCHEMA_VERSION, "metrics": payload}
         entry["crc32"] = payload_crc32(payload)
         return self._blobs.write(key, json.dumps(entry, sort_keys=True).encode("utf-8"))
 
-    def has_key(self, key: str) -> bool:
-        return self._blobs.has(key)
-
     def __contains__(self, request: RunRequest) -> bool:
-        return self.has_key(cache_key(request))
+        return self._blobs.has(cache_key(request))
 
     def __len__(self) -> int:
         return len(self._blobs)

@@ -43,7 +43,6 @@ from dataclasses import dataclass
 from queue import Empty
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from repro.common.codec import Codec
 from repro.pipeline.core import SimulationHang
 from repro.sim.api import (
     FAILURE_BUDGET,
@@ -156,7 +155,7 @@ def _pool_context():
 
 
 @dataclass(frozen=True)
-class RetryPolicy(Codec):
+class RetryPolicy:
     """When and how failed cells are re-executed.
 
     ``max_retries`` extra attempts are made for failures whose ``kind`` is
@@ -349,22 +348,14 @@ class SweepEngine:
     def _emit(self, kind: str, index: int, request: RunRequest, **extra) -> None:
         if not self.observers:
             return
-        self.emit_event(
-            RunEvent(
-                kind=kind,
-                index=index,
-                workload=request.workload.name,
-                config=request.config.name,
-                model=request.attack_model.value,
-                **extra,
-            )
+        event = RunEvent(
+            kind=kind,
+            index=index,
+            workload=request.workload.name,
+            config=request.config.name,
+            model=request.attack_model.value,
+            **extra,
         )
-
-    def emit_event(self, event: RunEvent) -> None:
-        """Deliver an already-built event to every observer (with the same
-        mute-on-first-failure behaviour as engine-originated events).  The
-        fabric client uses this to replay scheduler-streamed events into
-        the session's normal observer pipeline."""
         for observer in self.observers:
             # Observers are diagnostics; a broken one must not kill the runs
             # it is narrating.  First failure per observer warns, later ones

@@ -24,9 +24,8 @@ from repro.common.durable import JsonlLog
 #: Version stamp for serialized events.  Bump only on *incompatible*
 #: changes (renamed/retyped fields); purely additive fields keep the
 #: version — :meth:`RunEvent.from_dict` ignores unknown keys, so old
-#: readers parse new events and vice versa.  The fabric streams events
-#: across processes and hosts, where producer and consumer may be one
-#: release apart.
+#: readers parse new events and vice versa, so an event log stays readable
+#: by a release on either side of the one that wrote it.
 EVENT_SCHEMA_VERSION = 1
 
 #: The lifecycle stages, in the order a single run can traverse them.

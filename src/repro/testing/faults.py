@@ -42,7 +42,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
-from repro.common.codec import Codec
 from repro.sim.api import RunMetrics, RunRequest
 
 #: The injectable fault kinds.
@@ -58,7 +57,7 @@ class InjectedCrash(RuntimeError):
 
 
 @dataclass(frozen=True)
-class FaultSpec(Codec):
+class FaultSpec:
     """One cell's fault behaviour.
 
     ``kind``
@@ -86,7 +85,6 @@ class FaultSpec(Codec):
             )
 
 
-
 class FaultPlan:
     """Maps sweep cells to :class:`FaultSpec` with cross-process counting.
 
@@ -106,27 +104,6 @@ class FaultPlan:
         if specific is not None:
             return specific
         return self.faults.get(workload)
-
-    def to_dict(self) -> dict[str, object]:
-        """JSON-ready form, so a plan can be handed to *other processes* —
-        the fabric e2e tests write one to a file and point worker agents at
-        it via the ``REPRO_FAULT_PLAN`` environment variable.  ``state_dir``
-        travels too: the cross-process attempt counter must be the same
-        directory in every process of the sweep."""
-        return {
-            "faults": {key: spec.to_dict() for key, spec in self.faults.items()},
-            "state_dir": str(self.state_dir),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "FaultPlan":
-        return cls(
-            {
-                key: FaultSpec.from_dict(spec)
-                for key, spec in payload["faults"].items()
-            },
-            state_dir=payload["state_dir"],
-        )
 
     def claim(self, request: RunRequest, spec: FaultSpec) -> bool:
         """Atomically claim one injected attempt for this cell.

@@ -18,15 +18,10 @@ from repro.common.config import (
     ProtectionKind,
     TlbConfig,
 )
-from repro.fabric.chaos import ChaosSpec
-from repro.fabric.transport import TransportPolicy
 from repro.isa.assembler import assemble
 from repro.sim.api import Instrumentation, RunFailure, RunMetrics, RunRequest
 from repro.sim.configs import EVALUATED_CONFIGS, EvaluatedConfig
-from repro.sim.engine import RetryPolicy
 from repro.sim.events import RunEvent
-from repro.sim.policies import CachePolicy, ExecutionPolicy, JournalPolicy
-from repro.testing.faults import FaultSpec
 from repro.workloads.workload import Workload
 
 PROGRAM = assemble("li r1, 7\nhalt", {0x1000: 5}, name="codec")
@@ -58,13 +53,6 @@ REQUIRED = {
         error_type="RuntimeError",
         message="boom",
     ),
-    RetryPolicy: {},
-    ExecutionPolicy: {},
-    CachePolicy: {},
-    JournalPolicy: {},
-    TransportPolicy: {},
-    ChaosSpec: {},
-    FaultSpec: dict(kind="crash"),
     RunEvent: dict(kind="queued", index=0, workload="w", config="Unsafe", model="spectre"),
 }
 
@@ -115,27 +103,33 @@ class Sample(Codec):
     where: Path
     kinds: frozenset[str] = frozenset({"b", "a"})
     dims: tuple[int, ...] = (4, 2)
-    nested: CachePolicy | None = None
+    nested: CacheConfig | None = None
     stats: dict[str, float] = dataclasses.field(default_factory=dict)
 
 
 class TestEncodingRules:
     def test_declaration_order_and_forms(self):
-        sample = Sample(Colour.RED, Path("out/x.json"), nested=CachePolicy(enabled=False))
+        nested = CacheConfig(**REQUIRED[CacheConfig], banks=2)
+        sample = Sample(Colour.RED, Path("out/x.json"), nested=nested)
         assert list(sample.to_dict().items()) == [
             ("colour", "red"),
             ("where", "out/x.json"),
             ("kinds", ["a", "b"]),
             ("dims", [4, 2]),
-            ("nested", {"enabled": False, "cache_dir": None}),
+            (
+                "nested",
+                {**REQUIRED[CacheConfig], "banks": 2, "mshrs": 16, "ports": 2, "slices": 1},
+            ),
             ("stats", {}),
         ]
 
     def test_decoding_rebuilds_the_containers(self):
-        sample = Sample(Colour.RED, Path("p"), stats={"x": 1.5})
+        nested = CacheConfig(**REQUIRED[CacheConfig])
+        sample = Sample(Colour.RED, Path("p"), nested=nested, stats={"x": 1.5})
         decoded = Sample.from_dict(sample.to_dict())
         assert decoded.kinds == frozenset({"a", "b"}) and decoded.dims == (4, 2)
         assert decoded.colour is Colour.RED and decoded.stats == {"x": 1.5}
+        assert decoded.nested == nested
 
     def test_own_form_is_used(self):
         assert Workload.from_dict(WORKLOAD.to_dict()).program.digest == PROGRAM.digest

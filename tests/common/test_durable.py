@@ -16,9 +16,12 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from repro.common.config import AttackModel
-from repro.common.durable import BlobStore, CorruptLogError, JsonlLog, parse_lines
-from repro.sim.api import RunMetrics
+from repro.common.durable import BlobStore, CorruptLogError, JsonlLog
+from repro.isa.assembler import assemble
+from repro.sim.api import RunMetrics, RunRequest
 from repro.sim.cache import ResultCache
+from repro.sim.configs import config_by_name
+from repro.workloads.workload import Workload
 
 SEED = 1512
 
@@ -69,21 +72,18 @@ def test_garbage_line_raises_unless_it_is_the_tail(appended, data):
     lines = [json.dumps(record, sort_keys=True) for record in appended]
     lines.insert(position, garbage)
     text = "\n".join(lines) + "\n"
-    if position == len(appended):
-        assert parse_lines(text, "log") == appended  # a torn tail is dropped
-    else:
-        with pytest.raises(CorruptLogError) as raised:
-            parse_lines(text, "log")
-        assert raised.value.line == position + 1
-        assert str(raised.value) == f"log:{position + 1}: corrupt record (not a torn tail)"
-
-
-def test_read_discards_snapshot_temp_and_missing_log_is_empty(tmp_path):
-    log = JsonlLog(tmp_path / "q.jsonl")
-    snapshot = tmp_path / "q.jsonl.compact"
-    snapshot.write_text('{"torn": ')
-    assert log.read() == []
-    assert not snapshot.exists()
+    with tempfile.TemporaryDirectory() as directory:
+        log = JsonlLog(Path(directory) / "log.jsonl")
+        log.path.write_text(text)
+        if position == len(appended):
+            assert log.read() == appended  # a torn tail is dropped
+        else:
+            with pytest.raises(CorruptLogError) as raised:
+                log.read()
+            assert raised.value.line == position + 1
+            assert str(raised.value) == (
+                f"{log.path}:{position + 1}: corrupt record (not a torn tail)"
+            )
 
 
 def test_append_after_a_torn_tail_starts_a_fresh_line(tmp_path):
@@ -91,6 +91,7 @@ def test_append_after_a_torn_tail_starts_a_fresh_line(tmp_path):
     record onto the torn line, which would turn the tail into mid-file
     corruption on the following load."""
     path = tmp_path / "q.jsonl"
+    assert JsonlLog(path).read() == []  # a missing log reads empty
     path.write_text('{"n": 0}\n{"n": 1}\n{"n": 2, "tor')
     log = JsonlLog(path)
     assert log.read() == [{"n": 0}, {"n": 1}]
@@ -102,16 +103,6 @@ def test_append_after_a_torn_tail_starts_a_fresh_line(tmp_path):
     log.append({"n": 4})
     log.close()
     assert log.read() == [{"n": 4}]
-
-
-def test_rewrite_replaces_the_log_and_appends_continue(tmp_path):
-    log = JsonlLog(tmp_path / "q.jsonl")
-    for n in range(3):
-        log.append({"n": n})
-    log.rewrite([{"n": 9}])
-    log.append({"n": 10})
-    log.close()
-    assert log.read() == [{"n": 9}, {"n": 10}]
 
 
 def test_blob_store_layout_and_clear(tmp_path):
@@ -147,20 +138,20 @@ def test_cache_entry_truncations_and_flips_never_change_metrics(stored, mask):
     when the flipped entry decodes to the same content, e.g. a space turned
     into a tab or an exponent ``e`` into ``E`` — the identical metrics;
     never different metrics."""
-    key = "cd" + "0" * 62
+    request = RunRequest(Workload("w", assemble("halt", name="w")), config_by_name("Hybrid"))
     with tempfile.TemporaryDirectory() as directory:
         cache = ResultCache(directory)
-        path = cache.put_key(key, stored)
+        path = cache.put(request, stored)
         blob = path.read_bytes()
         for cut in range(len(blob)):
             path.write_bytes(blob[:cut])
-            assert cache.get_key(key) is None
+            assert cache.get(request) is None
         misses = 0
         for position in range(len(blob)):
             flipped = bytearray(blob)
             flipped[position] ^= mask
             path.write_bytes(bytes(flipped))
-            loaded = cache.get_key(key)
+            loaded = cache.get(request)
             if loaded is None:
                 misses += 1
             else:

@@ -4,7 +4,7 @@ Both cache keys (the result cache's ``cache_key`` and the replay store's
 ``trace_key``) take the program through ``digest``, so the digest must
 follow content exactly: insertion order and labels must not move it, any
 change of a word's value or type must, and it must survive every way a
-program travels (pickled to a pool worker, JSON to a fabric worker).
+program travels (pickled to a pool worker, JSON into ``repro scan``).
 """
 
 import dataclasses

@@ -1,4 +1,4 @@
-"""Replay wired through the sweep engine, Session policy, CLI, and worker.
+"""Replay wired through the sweep engine, Session policy and CLI.
 
 The backend is opt-in (`ExecutionPolicy(replay=True)` / `repro sweep
 --replay`) and must be *invisible* in results: every test here runs the
@@ -11,7 +11,6 @@ import pytest
 
 from repro.common.config import AttackModel
 from repro.replay.store import TraceStore
-from repro.replay.trace import trace_key
 from repro.sim.api import RunRequest, Session
 from repro.sim.configs import config_by_name
 from repro.sim.engine import SweepEngine
@@ -103,12 +102,6 @@ def test_session_replay_store_sits_beside_cache(tmp_path):
     assert session.trace_store.root == tmp_path / "cache" / "traces"
 
 
-def test_policy_round_trips_replay_flag():
-    policy = ExecutionPolicy(replay=True)
-    assert ExecutionPolicy.from_dict(policy.to_dict()).replay is True
-    assert ExecutionPolicy.from_dict({"jobs": 1}).replay is False
-
-
 def test_cli_sweep_replay_flag(capsys, tmp_path):
     from repro.__main__ import main
 
@@ -127,35 +120,3 @@ def test_cli_sweep_replay_flag(capsys, tmp_path):
     assert list((cache_dir / "traces").rglob("*.trace")), (
         "--replay should leave recorded traces beside the result cache"
     )
-
-
-def test_worker_builds_trace_store_beside_cache(tmp_path):
-    from repro.fabric.worker import WorkerAgent
-
-    agent = WorkerAgent("http://127.0.0.1:1", cache_dir=tmp_path)
-    assert agent.trace_store is not None
-    assert agent.trace_store.root == tmp_path / "traces"
-    assert agent.stats["trace_replays"] == 0
-    cacheless = WorkerAgent("http://127.0.0.1:1")
-    assert cacheless.trace_store is None
-
-
-def test_worker_executes_through_replay_backend(tmp_path, live_outcomes):
-    """A worker with a populated trace store resolves a cell through the
-    replayed-trace rung: identical metrics, `trace_replays` incremented."""
-    import threading
-
-    from repro.fabric.worker import WorkerAgent
-    from repro.replay.recorder import record_trace
-    from repro.sim.cache import cache_key
-
-    agent = WorkerAgent("http://127.0.0.1:1", cache_dir=tmp_path)
-    request = _requests()[0]
-    agent.trace_store.put(trace_key(request), record_trace(request))
-    key = cache_key(request)
-    cell = {"key": key, "request": request.to_dict(), "lease_seconds": 60.0}
-    agent._ledger = lambda *_: None
-    agent._start_heartbeat = lambda *_: threading.Event()
-    outcome, wall = agent._execute(key, cell)
-    assert outcome.to_dict() == live_outcomes[0]
-    assert agent.stats["trace_replays"] == 1

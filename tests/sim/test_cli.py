@@ -147,12 +147,3 @@ def test_sweep_resume_from_corrupt_journal_exits_2(capsys, tmp_path):
         "--journal", str(journal), "--resume",
     ]) == 2
     assert_clean_corrupt_log_error(capsys, journal)
-
-
-def test_fabric_serve_on_corrupt_queue_exits_2(capsys, tmp_path):
-    queue = tmp_path / "state" / "queue.jsonl"
-    corrupt_first_line(queue)
-    assert main([
-        "fabric", "serve", "--state-dir", str(queue.parent), "--port", "0",
-    ]) == 2
-    assert_clean_corrupt_log_error(capsys, queue)

@@ -6,13 +6,7 @@ import pytest
 
 from repro.sim.cache import ResultCache, SweepJournal
 from repro.sim.engine import RetryPolicy
-from repro.sim.policies import (
-    POLICY_CLASSES,
-    CachePolicy,
-    ExecutionPolicy,
-    JournalPolicy,
-    policy_field_names,
-)
+from repro.sim.policies import CachePolicy, ExecutionPolicy, JournalPolicy
 
 
 class TestExecutionPolicy:
@@ -20,7 +14,6 @@ class TestExecutionPolicy:
         policy = ExecutionPolicy()
         assert policy.jobs == 1
         assert policy.timeout is None
-        assert policy.fabric is None
         assert policy.retry_policy.max_retries == 0
 
     def test_int_retries_normalized_to_policy(self):
@@ -76,15 +69,3 @@ class TestJournalPolicy:
         path.write_text("")  # an empty journal is a valid journal
         journal = JournalPolicy(path=path, resume=True).build()
         assert isinstance(journal, SweepJournal)
-
-
-class TestPolicyRegistry:
-    """The lint wire-schema fingerprint walks POLICY_CLASSES; keep the
-    registry honest."""
-
-    def test_registry_lists_all_policies(self):
-        assert set(POLICY_CLASSES) == {ExecutionPolicy, CachePolicy, JournalPolicy}
-
-    def test_field_names_match_serialization(self):
-        for cls in POLICY_CLASSES:
-            assert set(cls().to_dict()) == set(policy_field_names(cls))

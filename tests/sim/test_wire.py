@@ -1,12 +1,13 @@
 """Property-style wire round-trip tests.
 
-Everything the fabric ships between hosts — requests, outcomes, events,
-policies — must survive ``to_dict → json.dumps → json.loads → from_dict``
-exactly.  Instead of a handful of hand-picked examples, these tests
-generate a few dozen randomized-but-seeded instances per type and assert
-the round trip is the identity on every one; a field that serializes
+Everything persisted as JSON — metrics in the result cache, failures in
+the sweep journal, events in the event log, and the requests they describe
+— must survive ``to_dict → json.dumps → json.loads → from_dict`` exactly.
+Instead of a handful of hand-picked examples, these tests generate a few
+dozen randomized-but-seeded instances per type and assert the round trip
+is the identity on every one; a field that serializes
 lossily (enum vs. string, tuple vs. list, dropped default) fails loudly
-here before it can desync a scheduler from its workers.
+here before a resumed sweep can read back something it did not write.
 """
 
 import json
@@ -16,32 +17,25 @@ from pathlib import Path
 import pytest
 
 from repro.common.config import AttackModel, MachineConfig
-from repro.fabric.wire import (
-    WIRE_SCHEMA_VERSION,
-    WireError,
-    check_schema,
-    decode_outcome,
-    encode_outcome,
-    envelope,
-)
+from repro.common.durable import CorruptLogError
 from repro.sim.api import (
+    FAILURE_CANCELLED,
     FAILURE_KINDS,
     Instrumentation,
     RunFailure,
     RunMetrics,
     RunRequest,
 )
+from repro.sim.cache import SweepJournal
 from repro.sim.configs import EVALUATED_CONFIGS
-from repro.sim.engine import RetryPolicy
-from repro.sim.events import EVENT_SCHEMA_VERSION, RunEvent
-from repro.sim.policies import CachePolicy, ExecutionPolicy, JournalPolicy
+from repro.sim.events import EVENT_SCHEMA_VERSION, JsonlEventLog, RunEvent, read_events
 from repro.workloads import make_indirect_stream, make_pointer_chase
 
 CASES = 25
 
 
 def wire_trip(payload):
-    """The exact bytes-level path a fabric message takes."""
+    """The exact bytes-level path a persisted record takes."""
     return json.loads(json.dumps(payload))
 
 
@@ -138,33 +132,9 @@ def random_event(rng):
     )
 
 
-def random_retry(rng):
-    return RetryPolicy(
-        max_retries=rng.randrange(0, 4),
-        backoff_base=rng.choice([0.01, 0.5, 2.0]),
-        backoff_factor=rng.choice([1.5, 2.0]),
-        backoff_max=rng.choice([5.0, 30.0]),
-        jitter=rng.choice([0.0, 0.1]),
-        retry_kinds=frozenset(
-            rng.sample(["crash", "timeout"], rng.randrange(1, 3))
-        ),
-    )
-
-
-def random_execution(rng):
-    return ExecutionPolicy(
-        jobs=rng.randrange(1, 9),
-        timeout=rng.choice([None, 30.0, 600.0]),
-        retries=random_retry(rng),
-        hang_window=rng.choice([None, 50_000]),
-        fabric=rng.choice([None, "http://scheduler:8700"]),
-        fail_on_unhalted=rng.random() < 0.5,
-    )
-
-
 @pytest.mark.parametrize("seed", range(CASES))
 class TestRoundTrips:
-    """For each wire type: from_dict(wire_trip(to_dict(x))) == x."""
+    """For each persisted type: from_dict(wire_trip(to_dict(x))) == x."""
 
     def test_run_request(self, seed):
         request = random_request(make_rng(seed))
@@ -182,49 +152,43 @@ class TestRoundTrips:
         event = random_event(make_rng(seed))
         assert RunEvent.from_dict(wire_trip(event.to_dict())) == event
 
-    def test_retry_policy(self, seed):
-        policy = random_retry(make_rng(seed))
-        assert RetryPolicy.from_dict(wire_trip(policy.to_dict())) == policy
-
-    def test_execution_policy(self, seed):
-        policy = random_execution(make_rng(seed))
-        assert ExecutionPolicy.from_dict(wire_trip(policy.to_dict())) == policy
-
-    def test_outcome_envelope(self, seed):
+    def test_outcome_envelope(self, seed, tmp_path):
+        """The journal's tagged record (``kind`` + ``payload``) brings an
+        outcome back from disk as itself; cancelled cells are not kept."""
         rng = make_rng(seed)
         outcome = random_metrics(rng) if seed % 2 else random_failure(rng)
-        assert decode_outcome(wire_trip(encode_outcome(outcome))) == outcome
-
-
-def test_cache_policy_round_trip(tmp_path):
-    for policy in (
-        CachePolicy(),
-        CachePolicy(enabled=False),
-        CachePolicy(cache_dir=tmp_path),
-    ):
-        assert CachePolicy.from_dict(wire_trip(policy.to_dict())) == policy
-
-
-def test_journal_policy_round_trip(tmp_path):
-    for policy in (
-        JournalPolicy(),
-        JournalPolicy(path=tmp_path / "s.journal"),
-        JournalPolicy(path=tmp_path / "s.journal", resume=True),
-    ):
-        assert JournalPolicy.from_dict(wire_trip(policy.to_dict())) == policy
+        path = tmp_path / "s.journal"
+        with SweepJournal(path) as journal:
+            journal.record("k", outcome)
+        loaded = SweepJournal(path)
+        loaded.load()
+        if isinstance(outcome, RunFailure) and outcome.kind == FAILURE_CANCELLED:
+            assert loaded.get("k") is None
+        else:
+            assert loaded.get("k") == outcome
 
 
 class TestSchemaGuards:
-    def test_envelope_stamps_current_version(self):
-        assert envelope(x=1) == {"schema": WIRE_SCHEMA_VERSION, "x": 1}
+    def test_envelope_stamps_current_version(self, tmp_path):
+        path = tmp_path / "run.events.jsonl"
+        with JsonlEventLog(path) as log:
+            log(random_event(make_rng(2)))
+        assert json.loads(path.read_text())["schema"] == EVENT_SCHEMA_VERSION
 
-    def test_newer_schema_rejected(self):
-        with pytest.raises(WireError, match="newer"):
-            check_schema({"schema": WIRE_SCHEMA_VERSION + 1})
+    def test_newer_schema_rejected(self, tmp_path):
+        path = tmp_path / "run.events.jsonl"
+        record = random_event(make_rng(3)).to_dict()
+        record["schema"] = EVENT_SCHEMA_VERSION + 1
+        path.write_text(json.dumps(record) + "\n")
+        with pytest.raises(ValueError, match="newer"):
+            read_events(path)
 
     def test_current_and_missing_schema_accepted(self):
-        check_schema({"schema": WIRE_SCHEMA_VERSION})
-        check_schema({})
+        payload = random_event(make_rng(4)).to_dict()
+        expected = RunEvent.from_dict(dict(payload))
+        assert payload["schema"] == EVENT_SCHEMA_VERSION
+        del payload["schema"]
+        assert RunEvent.from_dict(payload) == expected
 
     def test_event_newer_schema_rejected(self):
         payload = random_event(make_rng(0)).to_dict()
@@ -238,6 +202,13 @@ class TestSchemaGuards:
         payload.update({"seq": 12, "ts": 1754400000.25, "brand_new_field": "x"})
         assert RunEvent.from_dict(payload) == expected
 
-    def test_unknown_outcome_kind_rejected(self):
-        with pytest.raises(WireError, match="unknown outcome kind"):
-            decode_outcome({"kind": "surprise", "payload": {}})
+    def test_unknown_outcome_kind_rejected(self, tmp_path):
+        """A journal record of an unknown kind is corruption, not a skip."""
+        path = tmp_path / "s.journal"
+        good = {"key": "k", "kind": "metrics", "payload": random_metrics(make_rng(5)).to_dict()}
+        path.write_text(
+            json.dumps({"key": "j", "kind": "surprise", "payload": {}}) + "\n"
+            + json.dumps(good) + "\n"
+        )
+        with pytest.raises(CorruptLogError, match=":1:"):
+            SweepJournal(path).load()

@@ -2,14 +2,14 @@
 
 The round trips in ``test_wire`` cannot see a *symmetric* format change —
 enums moving from value to name on both the encoding and the decoding
-side still round-trip — yet such a change desyncs a fabric peer one
-release behind and orphans journal entries written before it.  This test
-pins the SHA-256 of ``json.dumps(x.to_dict())`` (key order kept) for a
-seeded corpus: ``test_wire``'s generators, each serialized class built
-from its defaults, ``EVALUATED_CONFIGS``, and sample transport, chaos and
-fault specs.  It pins :func:`~repro.sim.cache.cache_key` and
-:func:`~repro.replay.trace.trace_key` of every generated request, the
-field names of every serialized class, and the four schema versions.
+side still round-trip — yet such a change orphans the cache, journal and
+event-log entries written before it.  This test pins the SHA-256 of
+``json.dumps(x.to_dict())`` (key order kept) for a seeded corpus:
+``test_wire``'s generators, each serialized class built from its defaults,
+``EVALUATED_CONFIGS``, and a sample protection config.  It pins
+:func:`~repro.sim.cache.cache_key` and :func:`~repro.replay.trace.trace_key`
+of every generated request, the field names of every serialized class, and
+the three schema versions.
 
 Every pin moves with exactly one version (``ROOTS``, :func:`governor`).
 A pin that moves while its version stays fails with the version to bump;
@@ -36,28 +36,20 @@ from repro.common.config import (
     ProtectionConfig,
     TlbConfig,
 )
-from repro.fabric.chaos import ChaosSpec
-from repro.fabric.transport import TransportPolicy
-from repro.fabric.wire import WIRE_SCHEMA_VERSION
 from repro.isa.assembler import assemble
 from repro.replay.trace import TRACE_SCHEMA_VERSION, trace_key
 from repro.sim.api import Instrumentation, RunFailure, RunMetrics, RunRequest
 from repro.sim.cache import SCHEMA_VERSION, cache_key
 from repro.sim.configs import EVALUATED_CONFIGS
-from repro.sim.engine import RetryPolicy
 from repro.sim.events import EVENT_SCHEMA_VERSION, RunEvent
-from repro.sim.policies import CachePolicy, ExecutionPolicy, JournalPolicy
-from repro.testing.faults import FaultSpec
 from repro.workloads.workload import Workload
 from tests.sim.test_wire import (
     CASES,
     make_rng,
     random_event,
-    random_execution,
     random_failure,
     random_metrics,
     random_request,
-    random_retry,
 )
 
 PIN_FILE = Path(__file__).with_name("wire_pin.json")
@@ -69,8 +61,6 @@ GENERATORS = {
     "metrics": (RunMetrics, random_metrics),
     "failure": (RunFailure, random_failure),
     "event": (RunEvent, random_event),
-    "retry": (RetryPolicy, random_retry),
-    "execution": (ExecutionPolicy, random_execution),
 }
 
 
@@ -81,9 +71,6 @@ def corpus() -> dict[str, object]:
         for seed in range(CASES):
             items[f"{kind}/{seed}"] = generate(make_rng(seed))
     program = assemble("li r1, 7\nhalt", {0x1000: 5, 0x1008: 2.5}, name="pin")
-    transport = TransportPolicy(
-        retries=0, backoff_base=0.5, jitter=0.0, breaker_threshold=0, breaker_reset=1.5
-    )
     items.update(
         {
             "default/CacheConfig": CacheConfig("L1D", 32 * 1024, 64, 8, 2),
@@ -99,20 +86,7 @@ def corpus() -> dict[str, object]:
                 "pin", "Unsafe", AttackModel.FUTURISTIC, "RuntimeError", "boom"
             ),
             "default/Instrumentation": Instrumentation(),
-            "default/RetryPolicy": RetryPolicy(),
-            "default/ExecutionPolicy": ExecutionPolicy(),
-            "default/CachePolicy": CachePolicy(),
-            "default/JournalPolicy": JournalPolicy(),
-            "default/TransportPolicy": TransportPolicy(),
-            "default/ChaosSpec": ChaosSpec(),
-            "default/FaultSpec": FaultSpec("crash"),
             "default/RunEvent": RunEvent("queued", 0, "pin", "Unsafe", "spectre"),
-            "sample/TransportPolicy": transport,
-            "sample/ExecutionPolicy": ExecutionPolicy(
-                jobs=2, retries=3, replay=True, transport=transport
-            ),
-            "sample/ChaosSpec": ChaosSpec(drop_request=0.1, delay=0.2, corrupt=0.05, limit=3),
-            "sample/FaultSpec": FaultSpec("slow", times=2, seconds=0.25),
             "sample/ProtectionConfig": EVALUATED_CONFIGS[6].protection_config(
                 AttackModel.FUTURISTIC
             ),
@@ -126,16 +100,11 @@ def corpus() -> dict[str, object]:
 #: The version every serialized class moves with, by the classes it is
 #: reached from; a class reached from two versions takes the first.
 ROOTS = {
-    "SCHEMA_VERSION": (RunRequest, RunMetrics),
-    "WIRE_SCHEMA_VERSION": (
-        ExecutionPolicy, CachePolicy, JournalPolicy, RunFailure,
-        RetryPolicy, TransportPolicy, ChaosSpec, FaultSpec,
-    ),
+    "SCHEMA_VERSION": (RunRequest, RunMetrics, RunFailure),
     "EVENT_SCHEMA_VERSION": (RunEvent,),
 }
 VERSIONS = {
     "SCHEMA_VERSION": SCHEMA_VERSION,
-    "WIRE_SCHEMA_VERSION": WIRE_SCHEMA_VERSION,
     "EVENT_SCHEMA_VERSION": EVENT_SCHEMA_VERSION,
     "TRACE_SCHEMA_VERSION": TRACE_SCHEMA_VERSION,
 }
@@ -274,7 +243,7 @@ def test_reachable_codec_classes_are_governed_by_schema_version(pins):
 #: A synthetic pin set: one field-set pin per version, one pin per key.
 BASE = {f"version/{name}": 1 for name in VERSIONS} | {
     "fields/CoreConfig": ["fetch_width"],
-    "fields/TransportPolicy": ["retries"],
+    "fields/RunFailure": ["kind"],
     "fields/RunEvent": ["kind"],
     "request/0": "r0",
     "cache_key/request/0": "c0",
@@ -285,7 +254,7 @@ BASE = {f"version/{name}": 1 for name in VERSIONS} | {
 def test_field_added_without_version_bump_is_flagged():
     for cls, version in (
         ("CoreConfig", "SCHEMA_VERSION"),
-        ("TransportPolicy", "WIRE_SCHEMA_VERSION"),
+        ("RunFailure", "SCHEMA_VERSION"),
         ("RunEvent", "EVENT_SCHEMA_VERSION"),
     ):
         grown = {**BASE, f"fields/{cls}": [*BASE[f"fields/{cls}"], "seed"], "request/0": "r1"}
@@ -328,10 +297,10 @@ def test_refresh_after_bump_is_clean(key, tmp_path):
 def test_rewrite_refuses_unbumped_drift(tmp_path, capsys):
     pin_file = tmp_path / "wire_pin.json"
     pin_file.write_text(json.dumps(BASE))
-    grown = {**BASE, "fields/TransportPolicy": ["retries", "seed"]}
+    grown = {**BASE, "fields/RunFailure": ["kind", "seed"]}
     assert rewrite(pin_file, grown) == 1
     assert json.loads(pin_file.read_text()) == BASE
-    assert "TransportPolicy.seed changed: bump WIRE_SCHEMA_VERSION" in capsys.readouterr().err
+    assert "RunFailure.seed changed: bump SCHEMA_VERSION" in capsys.readouterr().err
 
 
 if __name__ == "__main__":
