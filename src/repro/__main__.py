@@ -36,13 +36,13 @@ from repro.sim.api import Instrumentation, Session
 from repro.sim.policies import CachePolicy, ExecutionPolicy, JournalPolicy
 from repro.sim.configs import EVALUATED_CONFIGS, SDO_CONFIG_NAMES, config_by_name
 from repro.sim.events import JsonlEventLog, ProgressLine
-from repro.workloads.spec17 import SPEC17_SUITE, suite, workload_by_name
+from repro.workloads.spec17 import SPEC17_NAMES, suite, workload_by_name
 
 
 def _cmd_info(_args) -> int:
     print(render_table1())
     print(render_table2())
-    names = ", ".join(w.name for w in SPEC17_SUITE)
+    names = ", ".join(SPEC17_NAMES)
     print(f"workloads: {names}")
     return 0
 

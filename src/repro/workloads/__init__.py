@@ -39,10 +39,10 @@ from repro.workloads.generators import (
     make_stream_kernel,
     make_stride_reuse,
 )
-from repro.workloads.spec17 import SPEC17_SUITE, suite, workload_by_name
+from repro.workloads.spec17 import SPEC17_NAMES, suite, workload_by_name
 
 __all__ = [
-    "SPEC17_SUITE",
+    "SPEC17_NAMES",
     "Workload",
     "make_compute_kernel",
     "make_fp_dense",

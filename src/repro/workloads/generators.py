@@ -31,6 +31,7 @@ words.
 from __future__ import annotations
 
 import random
+import struct
 
 from repro.isa.assembler import assemble
 from repro.workloads.workload import Workload
@@ -50,7 +51,34 @@ SUBNORMAL_VALUE = 1e-40
 
 def _warm_region(base: int, words: int) -> tuple[int, ...]:
     """One address per line across a region."""
-    return tuple(base + WORD * i for i in range(0, words, LINE_WORDS))
+    return tuple(range(base, base + WORD * words, WORD * LINE_WORDS))
+
+
+def _randbelow_many(rng: random.Random, n: int, count: int) -> list[int]:
+    """``[rng.randrange(n) for _ in range(count)]``, drawn in bulk.
+
+    Returns the same values and leaves ``rng`` in the same state.
+    ``randrange(n)`` keeps the top ``n.bit_length()`` bits of one 32-bit
+    Mersenne Twister word and draws again while they are ``>= n``; and
+    ``getrandbits(32 * m)`` is the next ``m`` such words, the first in the
+    lowest bits.  Each round draws only as many words as values are still
+    missing, so it never takes a word the one-by-one loop would not.
+    """
+    bits = n.bit_length()
+    if not 0 < bits <= 32:
+        return [rng.randrange(n) for _ in range(count)]
+    shift = 32 - bits
+    values: list[int] = []
+    missing = count
+    while missing:
+        words = rng.getrandbits(32 * missing).to_bytes(4 * missing, "little")
+        values += [
+            value
+            for word in struct.unpack(f"<{missing}I", words)
+            if (value := word >> shift) < n
+        ]
+        missing = count - len(values)
+    return values
 
 
 def _pad_block(pad_ops: int) -> str:
@@ -90,10 +118,16 @@ def make_indirect_stream(
     memory: dict[int, int | float] = {}
     threshold = int(branch_taken_prob * 1000)
     total_indices = iterations * unroll
-    for i in range(total_indices):
-        memory[INDEX_BASE + WORD * i] = rng.randrange(table_words)
-    for i in range(0, table_words, 1):
-        memory[TABLE_BASE + WORD * i] = rng.randrange(1000)
+    memory.update(zip(
+        range(INDEX_BASE, INDEX_BASE + WORD * total_indices, WORD),
+        _randbelow_many(rng, table_words, total_indices),
+        strict=True,
+    ))
+    memory.update(zip(
+        range(TABLE_BASE, TABLE_BASE + WORD * table_words, WORD),
+        _randbelow_many(rng, 1000, table_words),
+        strict=True,
+    ))
     # `unroll` independent indirect loads share one value branch: only a
     # fraction of loads sit immediately behind a data-dependent branch, as
     # in real code where compilers hoist and most branches are on clean
@@ -155,9 +189,10 @@ def make_pointer_chase(
     rng.shuffle(permutation)
     memory: dict[int, int | float] = {}
     node_addr = [TABLE_BASE + 16 * i for i in range(nodes)]
-    for i in range(nodes):
-        memory[node_addr[i]] = rng.randrange(1000)  # value
-        memory[node_addr[i] + 8] = node_addr[permutation[i]]  # next
+    values = _randbelow_many(rng, 1000, nodes)
+    for addr, value, successor in zip(node_addr, values, permutation, strict=True):
+        memory[addr] = value
+        memory[addr + 8] = node_addr[successor]  # next
     branch_block = """
         blt r5, r7, chase
         add r3, r3, r5
@@ -179,7 +214,7 @@ def make_pointer_chase(
         store r1, r0, {OUTPUT_BASE}
         halt
     """
-    warm = tuple(a for i in range(0, nodes, 4) for a in (node_addr[i],)) if warm_table else ()
+    warm = tuple(node_addr[::4]) if warm_table else ()
     return Workload(
         name=name,
         program=assemble(source, memory, name=name),
@@ -201,10 +236,16 @@ def make_hash_probe(
     """Hash probing: key (strided) -> hash -> bucket load -> compare."""
     rng = random.Random(seed)
     memory: dict[int, int | float] = {}
-    for i in range(iterations):
-        memory[INDEX_BASE + WORD * i] = rng.randrange(1 << 30)
-    for i in range(buckets):
-        memory[TABLE_BASE + WORD * i] = rng.randrange(1 << 30)
+    memory.update(zip(
+        range(INDEX_BASE, INDEX_BASE + WORD * iterations, WORD),
+        _randbelow_many(rng, 1 << 30, iterations),
+        strict=True,
+    ))
+    memory.update(zip(
+        range(TABLE_BASE, TABLE_BASE + WORD * buckets, WORD),
+        _randbelow_many(rng, 1 << 30, buckets),
+        strict=True,
+    ))
     mask = buckets - 1
     if buckets & mask:
         raise ValueError("buckets must be a power of two")
@@ -296,9 +337,11 @@ def make_stride_reuse(
 ) -> Workload:
     """Repeated passes over a block (L2-resident reuse, x264-like)."""
     rng = random.Random(seed)
-    memory: dict[int, int | float] = {
-        TABLE_BASE + WORD * i: rng.randrange(block_words) for i in range(block_words)
-    }
+    memory: dict[int, int | float] = dict(zip(
+        range(TABLE_BASE, TABLE_BASE + WORD * block_words, WORD),
+        _randbelow_many(rng, block_words, block_words),
+        strict=True,
+    ))
     source = f"""
         li r1, 0
         li r2, {passes}
@@ -362,10 +405,16 @@ def make_fp_dense(
             memory[TABLE_BASE + WORD * i] = SUBNORMAL_VALUE
         else:
             memory[TABLE_BASE + WORD * i] = 1.0 + rng.random()
-    for i in range(companion_words):
-        memory[AUX_BASE + WORD * i] = rng.randrange(1000)
-    for i in range(iterations):
-        memory[INDEX_BASE + WORD * i] = rng.randrange(companion_words)
+    memory.update(zip(
+        range(AUX_BASE, AUX_BASE + WORD * companion_words, WORD),
+        _randbelow_many(rng, 1000, companion_words),
+        strict=True,
+    ))
+    memory.update(zip(
+        range(INDEX_BASE, INDEX_BASE + WORD * iterations, WORD),
+        _randbelow_many(rng, companion_words, iterations),
+        strict=True,
+    ))
     source = f"""
         li r1, 0
         li r2, {iterations}
@@ -728,10 +777,16 @@ def make_mixed_kernel(
     """gcc-like mixture: stride loads, one indirect load, two branches."""
     rng = random.Random(seed)
     memory: dict[int, int | float] = {}
-    for i in range(table_words):
-        memory[TABLE_BASE + WORD * i] = rng.randrange(table_words)
-    for i in range(iterations):
-        memory[INDEX_BASE + WORD * i] = rng.randrange(1000)
+    memory.update(zip(
+        range(TABLE_BASE, TABLE_BASE + WORD * table_words, WORD),
+        _randbelow_many(rng, table_words, table_words),
+        strict=True,
+    ))
+    memory.update(zip(
+        range(INDEX_BASE, INDEX_BASE + WORD * iterations, WORD),
+        _randbelow_many(rng, 1000, iterations),
+        strict=True,
+    ))
     source = f"""
         li r1, 0
         li r2, {iterations}

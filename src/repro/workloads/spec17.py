@@ -16,6 +16,9 @@ completes in minutes on a laptop.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+from functools import cache, partial
+
 from repro.workloads.generators import (
     make_compute_kernel,
     make_fp_dense,
@@ -35,14 +38,20 @@ _L3_WORDS = 96 * 1024
 _DRAM_WORDS = 1024 * 1024
 
 
-def _build_suite(scale: float = 1.0) -> tuple[Workload, ...]:
+def _builders(scale: float) -> dict[str, Callable[[str], Workload]]:
+    """Each kernel's builder at ``scale``, keyed by name in suite order.
+
+    A builder takes the kernel's name and draws its memory image from its
+    own seed, so building one kernel neither needs nor disturbs another.
+    """
+
     def n(iterations: int) -> int:
         """Scale an iteration count (minimum kept high enough to train)."""
         return max(60, int(iterations * scale))
 
-    return (
-        make_indirect_stream(
-            "mcf_like",
+    return {
+        "mcf_like": partial(
+            make_indirect_stream,
             table_words=320 * 1024,  # 2.5MB warmed: ~3/4 L3, 1/4 DRAM
             iterations=n(140),
             branch_taken_prob=0.15,  # mostly predictable value branches
@@ -52,31 +61,31 @@ def _build_suite(scale: float = 1.0) -> tuple[Workload, ...]:
             description="L3/DRAM indirect accesses under value branches "
             "(MLP-bound; SDO limited by the no-DRAM-DO-variant rule)",
         ),
-        make_pointer_chase(
-            "omnetpp_like",
+        "omnetpp_like": partial(
+            make_pointer_chase,
             nodes=6 * 1024,  # 96KB of nodes: L2-resident
             iterations=n(700),
             pad_ops=2,
             seed=12,
             description="L2-resident pointer chasing with value branches",
         ),
-        make_hash_probe(
-            "xalancbmk_like",
+        "xalancbmk_like": partial(
+            make_hash_probe,
             buckets=_L2_WORDS,
             iterations=n(550),
             pad_ops=4,
             seed=13,
             description="hash-table probing, L2-resident buckets",
         ),
-        make_mixed_kernel(
-            "gcc_like",
+        "gcc_like": partial(
+            make_mixed_kernel,
             table_words=_L2_WORDS,
             iterations=n(700),
             seed=14,
             description="mixed stride/indirect with data-dependent branches",
         ),
-        make_indirect_stream(
-            "deepsjeng_like",
+        "deepsjeng_like": partial(
+            make_indirect_stream,
             table_words=_L1_WORDS,
             iterations=n(800),
             branch_taken_prob=0.4,
@@ -84,14 +93,14 @@ def _build_suite(scale: float = 1.0) -> tuple[Workload, ...]:
             seed=15,
             description="branchy search over an L1-resident table",
         ),
-        make_stream_kernel(
-            "lbm_like",
+        "lbm_like": partial(
+            make_stream_kernel,
             words=32 * 1024,
             iterations=n(900),
             description="streaming: one L1 miss per 8 accesses (loop pattern)",
         ),
-        make_stride_reuse(
-            "x264_like",
+        "x264_like": partial(
+            make_stride_reuse,
             block_words=_L2_WORDS,
             passes=1,
             stride=13,
@@ -99,29 +108,29 @@ def _build_suite(scale: float = 1.0) -> tuple[Workload, ...]:
             seed=16,
             description="strided block reuse, L2-resident",
         ),
-        make_fp_dense(
-            "namd_like",
+        "namd_like": partial(
+            make_fp_dense,
             elems=_L1_WORDS,
             iterations=n(600),
             subnormal_frac=0.002,
             seed=17,
             description="FP-dense compute, L1-resident operands",
         ),
-        make_fp_stream(
-            "bwaves_like",
+        "bwaves_like": partial(
+            make_fp_stream,
             words=_L2_WORDS,
             iterations=n(600),
             subnormal_frac=0.002,
             seed=18,
             description="FP streaming with indirect coefficients",
         ),
-        make_compute_kernel(
-            "exchange2_like",
+        "exchange2_like": partial(
+            make_compute_kernel,
             iterations=n(900),
             description="integer compute, negligible memory traffic",
         ),
-        make_indirect_stream(
-            "xz_like",
+        "xz_like": partial(
+            make_indirect_stream,
             table_words=_L3_WORDS,
             iterations=n(200),
             branch_taken_prob=0.2,
@@ -130,25 +139,30 @@ def _build_suite(scale: float = 1.0) -> tuple[Workload, ...]:
             seed=19,
             description="L3-resident indirect accesses (match-finder-like)",
         ),
-    )
+    }
 
 
-SPEC17_SUITE: tuple[Workload, ...] = _build_suite()
+#: The suite's kernel names, in suite order; listing them builds nothing.
+SPEC17_NAMES: tuple[str, ...] = tuple(_builders(1.0))
+
+
+@cache
+def workload_by_name(name: str) -> Workload:
+    """The scale-1.0 kernel ``name``, built on first use and kept."""
+    builder = _builders(1.0).get(name)
+    if builder is None:
+        raise KeyError(f"no workload named {name!r}; available: {list(SPEC17_NAMES)}")
+    return builder(name)
 
 
 def suite(scale: float = 1.0) -> tuple[Workload, ...]:
     """The evaluation suite; ``scale`` shrinks iteration counts uniformly
-    (used by the CI-speed benchmark harness; 1.0 = the reported runs)."""
+    (used by the CI-speed benchmark harness; 1.0 = the reported runs).
+
+    At scale 1.0 the members are the kept kernels of
+    :func:`workload_by_name`, so every call returns the same objects; any
+    other scale builds afresh.
+    """
     if scale == 1.0:
-        return SPEC17_SUITE
-    return _build_suite(scale)
-
-
-def workload_by_name(name: str) -> Workload:
-    for workload in SPEC17_SUITE:
-        if workload.name == name:
-            return workload
-    raise KeyError(
-        f"no workload named {name!r}; available: "
-        f"{[w.name for w in SPEC17_SUITE]}"
-    )
+        return tuple(workload_by_name(name) for name in SPEC17_NAMES)
+    return tuple(build(name) for name, build in _builders(scale).items())

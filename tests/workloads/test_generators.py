@@ -1,10 +1,17 @@
 """Tests for workload generators and the SPEC17-like suite."""
 
+import os
+import pathlib
+import random
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.isa import Interpreter
 from repro.workloads import (
-    SPEC17_SUITE,
+    SPEC17_NAMES,
     make_compute_kernel,
     make_fp_dense,
     make_fp_stream,
@@ -16,6 +23,14 @@ from repro.workloads import (
     make_stride_reuse,
     suite,
     workload_by_name,
+)
+from repro.workloads.generators import _randbelow_many
+
+#: The suite's kernels in suite order, as ``repro info`` lists them.
+SUITE_NAMES = (
+    "mcf_like", "omnetpp_like", "xalancbmk_like", "gcc_like", "deepsjeng_like",
+    "lbm_like", "x264_like", "namd_like", "bwaves_like", "exchange2_like",
+    "xz_like",
 )
 
 
@@ -86,11 +101,53 @@ class TestGeneratorsProduceRunnablePrograms:
         ]
 
 
+class TestBulkDraw:
+    @pytest.mark.parametrize(
+        "n", [1, 2, 3, 1000, 2048, 320 * 1024, 1 << 30, (1 << 32) - 1, (1 << 32) + 1]
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 11, 2**31 + 5])
+    @pytest.mark.parametrize("count", [0, 1, 7, 600])
+    def test_matches_one_randrange_per_value(self, n, seed, count):
+        bulk, single = random.Random(seed), random.Random(seed)
+        assert _randbelow_many(bulk, n, count) == [
+            single.randrange(n) for _ in range(count)
+        ]
+        assert bulk.getstate() == single.getstate()
+
+
 class TestSuite:
     def test_suite_names_are_unique(self):
-        names = [w.name for w in SPEC17_SUITE]
-        assert len(names) == len(set(names))
-        assert len(names) >= 10
+        assert SPEC17_NAMES == SUITE_NAMES
+        assert tuple(w.name for w in suite()) == SUITE_NAMES
+        assert tuple(w.name for w in suite(scale=0.25)) == SUITE_NAMES
+
+    def test_full_scale_suite_is_built_once(self):
+        first, second = suite(), suite()
+        assert all(a is b for a, b in zip(first, second, strict=True))
+        assert first[0] is workload_by_name("mcf_like")
+        assert suite(scale=0.25)[0] is not suite(scale=0.25)[0]
+
+    def test_import_and_info_build_nothing(self):
+        script = (
+            "import gc\n"
+            "import repro, repro.__main__\n"
+            "from repro.isa.program import Program\n"
+            "from repro.workloads import spec17\n"
+            "programs = sum(isinstance(o, Program) for o in gc.get_objects())\n"
+            "print(spec17.workload_by_name.cache_info().currsize, programs)\n"
+            "repro.__main__.main(['info'])\n"
+            "print(spec17.workload_by_name.cache_info().currsize)\n"
+        )
+        src = str(pathlib.Path(repro.__file__).parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, check=True,
+        ).stdout.splitlines()
+        assert out[0] == "0 0"
+        assert f"workloads: {', '.join(SUITE_NAMES)}" in out
+        assert out[-1] == "0"
 
     def test_lookup_by_name(self):
         assert workload_by_name("mcf_like").name == "mcf_like"
@@ -107,10 +164,10 @@ class TestSuite:
         )
         assert smaller == len(full)
 
-    @pytest.mark.parametrize("workload", SPEC17_SUITE, ids=lambda w: w.name)
-    def test_every_suite_member_halts(self, workload):
-        functional_run(workload)
+    @pytest.mark.parametrize("name", SPEC17_NAMES)
+    def test_every_suite_member_halts(self, name):
+        functional_run(workload_by_name(name))
 
     def test_descriptions_present(self):
-        for workload in SPEC17_SUITE:
+        for workload in suite():
             assert workload.description
