@@ -36,7 +36,7 @@ from repro.sim.api import Instrumentation, Session
 from repro.sim.policies import CachePolicy, ExecutionPolicy, JournalPolicy
 from repro.sim.configs import EVALUATED_CONFIGS, SDO_CONFIG_NAMES, config_by_name
 from repro.sim.events import JsonlEventLog, ProgressLine
-from repro.workloads.spec17 import SPEC17_NAMES, suite, workload_by_name
+from repro.workloads.spec17 import SPEC17_NAMES, scaled_workload, suite, workload_by_name
 
 
 def _cmd_info(_args) -> int:
@@ -181,14 +181,14 @@ def _cmd_sweep(args) -> int:
     from repro.eval.figure8 import build_figure8
     from repro.eval.tables import render_table3, table3_rows
 
-    workloads = suite(scale=args.scale)
     if args.workloads:
         wanted = [name.strip() for name in args.workloads.split(",") if name.strip()]
-        by_name = {w.name: w for w in workloads}
-        missing = [name for name in wanted if name not in by_name]
+        missing = [name for name in wanted if name not in SPEC17_NAMES]
         if missing:
-            raise KeyError(f"unknown workloads: {missing}; available: {sorted(by_name)}")
-        workloads = tuple(by_name[name] for name in wanted)
+            raise KeyError(f"unknown workloads: {missing}; available: {sorted(SPEC17_NAMES)}")
+        workloads = tuple(scaled_workload(name, args.scale) for name in wanted)
+    else:
+        workloads = suite(scale=args.scale)
 
     if args.configs:
         config_names = [name.strip() for name in args.configs.split(",") if name.strip()]

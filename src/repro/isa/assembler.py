@@ -20,6 +20,7 @@ instruction indices.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 
 from repro.isa.instructions import (
     FP_BASE,
@@ -92,7 +93,7 @@ def _parse_float(token: str, line_no: int) -> float:
 
 def assemble(
     source: str,
-    initial_memory: dict[int, int | float] | None = None,
+    initial_memory: Mapping[int, int | float] | None = None,
     name: str = "asm",
 ) -> Program:
     """Assemble ``source`` into a :class:`Program`.
@@ -168,7 +169,7 @@ def assemble(
             Instruction(opcode, rd=rd, rs1=rs1, rs2=rs2, imm=imm, target=target, label=label)
         )
 
-    return Program(instructions, initial_memory or {}, name=name)
+    return Program(instructions, {} if initial_memory is None else initial_memory, name=name)
 
 
 def _render_reg(reg: int) -> str:

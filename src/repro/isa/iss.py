@@ -12,8 +12,10 @@ edge operands.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
+from repro.isa.image import MemoryImage
 from repro.isa.instructions import (
     FP_BASE,
     Instruction,
@@ -24,6 +26,7 @@ from repro.isa.program import Program
 
 _INT_MASK = (1 << 64) - 1
 _HALT = Opcode.HALT
+_UNWRITTEN = object()
 
 
 def wrap64(value: int) -> int:
@@ -34,11 +37,18 @@ def wrap64(value: int) -> int:
 
 @dataclass
 class ArchState:
-    """Architectural state: register files + data memory."""
+    """Architectural state: register files + data memory.
+
+    Memory reads through: ``memory`` holds the words written since the
+    state began, ``image`` the read-only initial words (a program's
+    :attr:`~repro.isa.program.Program.initial_memory`, shared, never
+    copied), and any other address reads 0.
+    """
 
     int_regs: list[int] = field(default_factory=lambda: [0] * 32)
     fp_regs: list[float] = field(default_factory=lambda: [0.0] * 16)
     memory: dict[int, int | float] = field(default_factory=dict)
+    image: Mapping[int, int | float] = field(default_factory=MemoryImage)
 
     def read_reg(self, reg: int) -> int | float:
         if is_fp_reg(reg):
@@ -54,13 +64,18 @@ class ArchState:
             self.int_regs[reg] = wrap64(int(value))
 
     def read_mem(self, addr: int) -> int | float:
-        return self.memory.get(addr, 0)
+        value = self.memory.get(addr, _UNWRITTEN)
+        if value is _UNWRITTEN:
+            return self.image.get(addr, 0)
+        return value
 
     def write_mem(self, addr: int, value: int | float) -> None:
         self.memory[addr] = value
 
     def snapshot(self) -> "ArchState":
-        return ArchState(list(self.int_regs), list(self.fp_regs), dict(self.memory))
+        """An independent copy: the written words are copied, the
+        read-only image is shared."""
+        return ArchState(list(self.int_regs), list(self.fp_regs), dict(self.memory), self.image)
 
 
 @dataclass(frozen=True)
@@ -184,7 +199,7 @@ class Interpreter:
 
     def __init__(self, program: Program) -> None:
         self.program = program
-        self.state = ArchState(memory=program.initial_memory.copy())
+        self.state = ArchState(image=program.initial_memory)
         self.pc = 0
         self.halted = False
         self.instructions_retired = 0

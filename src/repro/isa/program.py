@@ -5,9 +5,9 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from types import MappingProxyType
 from typing import Mapping
 
+from repro.isa.image import MemoryImage
 from repro.isa.instructions import Instruction, Opcode
 
 #: Instruction fields that are part of a program's content (labels are not).
@@ -19,19 +19,22 @@ class Program:
     """A static program, immutable so that :attr:`digest` is its identity.
 
     ``instructions`` is the code segment (a tuple; the PC is an index into
-    it).  ``initial_memory`` is a read-only view of a copy, taken at
-    construction, of the map from addresses to 64-bit integer words
-    (floating point values are stored as Python floats; the simulator's
-    memory is typed by whatever was stored).  ``name`` is used in reports.
+    it).  ``initial_memory`` is the map from addresses to 64-bit integer
+    words (floating point values are stored as Python floats; the
+    simulator's memory is typed by whatever was stored), held as a
+    :class:`~repro.isa.image.MemoryImage`: an image passed in is owned
+    as it is, any other mapping is copied into one at construction.
+    ``name`` is used in reports.
     """
 
     instructions: tuple[Instruction, ...]
-    initial_memory: Mapping[int, int | float] = field(default_factory=dict)
+    initial_memory: Mapping[int, int | float] = field(default_factory=MemoryImage)
     name: str = "anonymous"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "instructions", tuple(self.instructions))
-        object.__setattr__(self, "initial_memory", MappingProxyType(dict(self.initial_memory)))
+        if not isinstance(self.initial_memory, MemoryImage):
+            object.__setattr__(self, "initial_memory", MemoryImage(self.initial_memory))
         if not self.instructions:
             raise ValueError("a program needs at least one instruction")
         limit = len(self.instructions)
@@ -51,13 +54,22 @@ class Program:
         """SHA-256 of the content: each instruction's compare-fields (not its
         label) and the memory as address-sorted ``(address, value)`` pairs;
         ``repr`` keeps ``1``/``1.0``, ``0.0``/``-0.0`` and big ints apart.
-        Lazy, because an image can hold hundreds of thousands of words."""
+        Lazy, because an image can hold hundreds of thousands of words; the
+        text is fed to the hash a chunk at a time, in address order, so the
+        sorted pairs never exist as one list."""
         code = [
             (inst.opcode.name, *[getattr(inst, name) for name in _CODE_FIELDS])
             for inst in self.instructions
         ]
-        material = repr((code, sorted(self.initial_memory.items())))
-        return hashlib.sha256(material.encode("utf-8")).hexdigest()
+        digest = hashlib.sha256(f"({code!r}, [".encode("utf-8"))
+        separator = ""
+        for chunk in self.initial_memory.sorted_chunks():
+            # "(%r, %r)" % pair is repr(pair), without the call per pair.
+            text = ", ".join(map("(%r, %r)".__mod__, chunk))
+            digest.update((separator + text).encode("utf-8"))
+            separator = ", "
+        digest.update(b"])")
+        return digest.hexdigest()
 
     @cached_property
     def sources(self) -> tuple[tuple[int, ...], ...]:
@@ -68,18 +80,13 @@ class Program:
         return tuple(inst.sources() for inst in self.instructions)
 
     def __getstate__(self) -> dict:
-        # A mappingproxy does not pickle, so the words travel as a plain
-        # dict.  The digest does not travel: the receiver derives it from
-        # the content it actually got.
+        # The image travels in its compact form.  The digest does not
+        # travel: the receiver derives it from the content it actually got.
         return {
             "instructions": self.instructions,
-            "initial_memory": self.initial_memory.copy(),
+            "initial_memory": self.initial_memory,
             "name": self.name,
         }
-
-    def __setstate__(self, state: dict) -> None:
-        state["initial_memory"] = MappingProxyType(state["initial_memory"])
-        self.__dict__.update(state)
 
     def __len__(self) -> int:
         return len(self.instructions)

@@ -352,7 +352,7 @@ class Core:
         self.bpred = TournamentPredictor()
         self.btb = BranchTargetBuffer()
 
-        self.committed = ArchState(memory=program.initial_memory.copy())
+        self.committed = ArchState(image=program.initial_memory)
         # The golden reference is pluggable: by default the functional ISS
         # re-executes the program alongside the timing model, but any object
         # with an :class:`Interpreter`-shaped ``step()`` (seq/pc/opcode/

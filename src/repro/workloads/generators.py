@@ -32,8 +32,10 @@ from __future__ import annotations
 
 import random
 import struct
+from array import array
 
 from repro.isa.assembler import assemble
+from repro.isa.image import ImageBuilder
 from repro.workloads.workload import Workload
 
 WORD = 8
@@ -48,35 +50,43 @@ AUX_BASE = 3 << 26
 #: A value below the subnormal threshold (see repro.isa.instructions).
 SUBNORMAL_VALUE = 1e-40
 
+#: Most 32-bit words :func:`_randbelow_many` draws in one call.
+_DRAW_CHUNK = 8192
+
 
 def _warm_region(base: int, words: int) -> tuple[int, ...]:
     """One address per line across a region."""
     return tuple(range(base, base + WORD * words, WORD * LINE_WORDS))
 
 
-def _randbelow_many(rng: random.Random, n: int, count: int) -> list[int]:
-    """``[rng.randrange(n) for _ in range(count)]``, drawn in bulk.
+def _randbelow_many(rng: random.Random, n: int, count: int) -> array:
+    """``array('q', [rng.randrange(n) for _ in range(count)])``, drawn in
+    bulk (``n`` at most ``2**63``).
 
     Returns the same values and leaves ``rng`` in the same state.
     ``randrange(n)`` keeps the top ``n.bit_length()`` bits of one 32-bit
     Mersenne Twister word and draws again while they are ``>= n``; and
     ``getrandbits(32 * m)`` is the next ``m`` such words, the first in the
-    lowest bits.  Each round draws only as many words as values are still
-    missing, so it never takes a word the one-by-one loop would not.
+    lowest bits, so ``getrandbits(32 * a)`` then ``getrandbits(32 * b)``
+    is the same words as ``getrandbits(32 * (a + b))``.  Each round draws
+    as many words as values are still missing, at most ``_DRAW_CHUNK``, so
+    it never takes a word the one-by-one loop would not, and no more than
+    one chunk of the values ever exists as Python ints.
     """
     bits = n.bit_length()
     if not 0 < bits <= 32:
-        return [rng.randrange(n) for _ in range(count)]
+        return array("q", [rng.randrange(n) for _ in range(count)])
     shift = 32 - bits
-    values: list[int] = []
+    values = array("q")
     missing = count
     while missing:
-        words = rng.getrandbits(32 * missing).to_bytes(4 * missing, "little")
-        values += [
+        take = min(missing, _DRAW_CHUNK)
+        words = rng.getrandbits(32 * take).to_bytes(4 * take, "little")
+        values.fromlist([
             value
-            for word in struct.unpack(f"<{missing}I", words)
+            for word in struct.unpack(f"<{take}I", words)
             if (value := word >> shift) < n
-        ]
+        ])
         missing = count - len(values)
     return values
 
@@ -115,19 +125,11 @@ def make_indirect_stream(
     programs are not pure access loops).
     """
     rng = random.Random(seed)
-    memory: dict[int, int | float] = {}
+    memory = ImageBuilder()
     threshold = int(branch_taken_prob * 1000)
     total_indices = iterations * unroll
-    memory.update(zip(
-        range(INDEX_BASE, INDEX_BASE + WORD * total_indices, WORD),
-        _randbelow_many(rng, table_words, total_indices),
-        strict=True,
-    ))
-    memory.update(zip(
-        range(TABLE_BASE, TABLE_BASE + WORD * table_words, WORD),
-        _randbelow_many(rng, 1000, table_words),
-        strict=True,
-    ))
+    memory.fill(INDEX_BASE, _randbelow_many(rng, table_words, total_indices))
+    memory.fill(TABLE_BASE, _randbelow_many(rng, 1000, table_words))
     # `unroll` independent indirect loads share one value branch: only a
     # fraction of loads sit immediately behind a data-dependent branch, as
     # in real code where compilers hoist and most branches are on clean
@@ -166,7 +168,7 @@ def make_indirect_stream(
         warm += _warm_region(TABLE_BASE, table_words)
     return Workload(
         name=name,
-        program=assemble(source, memory, name=name),
+        program=assemble(source, memory.build(), name=name),
         warm_addresses=warm,
         description=description or f"indirect stream over {table_words} words",
     )
@@ -187,12 +189,13 @@ def make_pointer_chase(
     rng = random.Random(seed)
     permutation = list(range(nodes))
     rng.shuffle(permutation)
-    memory: dict[int, int | float] = {}
     node_addr = [TABLE_BASE + 16 * i for i in range(nodes)]
-    values = _randbelow_many(rng, 1000, nodes)
-    for addr, value, successor in zip(node_addr, values, permutation, strict=True):
-        memory[addr] = value
-        memory[addr + 8] = node_addr[successor]  # next
+    # Node i is the words {value, next} at TABLE_BASE + 16 * i: one run.
+    nodes_run = array("q", bytes(16 * nodes))
+    nodes_run[0::2] = _randbelow_many(rng, 1000, nodes)
+    nodes_run[1::2] = array("q", [node_addr[successor] for successor in permutation])
+    memory = ImageBuilder()
+    memory.fill(TABLE_BASE, nodes_run)
     branch_block = """
         blt r5, r7, chase
         add r3, r3, r5
@@ -217,7 +220,7 @@ def make_pointer_chase(
     warm = tuple(node_addr[::4]) if warm_table else ()
     return Workload(
         name=name,
-        program=assemble(source, memory, name=name),
+        program=assemble(source, memory.build(), name=name),
         warm_addresses=warm,
         description=description or f"pointer chase over {nodes} nodes",
     )
@@ -235,17 +238,9 @@ def make_hash_probe(
 ) -> Workload:
     """Hash probing: key (strided) -> hash -> bucket load -> compare."""
     rng = random.Random(seed)
-    memory: dict[int, int | float] = {}
-    memory.update(zip(
-        range(INDEX_BASE, INDEX_BASE + WORD * iterations, WORD),
-        _randbelow_many(rng, 1 << 30, iterations),
-        strict=True,
-    ))
-    memory.update(zip(
-        range(TABLE_BASE, TABLE_BASE + WORD * buckets, WORD),
-        _randbelow_many(rng, 1 << 30, buckets),
-        strict=True,
-    ))
+    memory = ImageBuilder()
+    memory.fill(INDEX_BASE, _randbelow_many(rng, 1 << 30, iterations))
+    memory.fill(TABLE_BASE, _randbelow_many(rng, 1 << 30, buckets))
     mask = buckets - 1
     if buckets & mask:
         raise ValueError("buckets must be a power of two")
@@ -279,7 +274,7 @@ def make_hash_probe(
         warm += _warm_region(TABLE_BASE, buckets)
     return Workload(
         name=name,
-        program=assemble(source, memory, name=name),
+        program=assemble(source, memory.build(), name=name),
         warm_addresses=warm,
         description=description or f"hash probe over {buckets} buckets",
     )
@@ -295,9 +290,8 @@ def make_stream_kernel(
 ) -> Workload:
     """Sequential streaming: b[i] = a[i] + s — one L1 miss per 8 accesses."""
     count = iterations if iterations is not None else words
-    memory: dict[int, int | float] = {
-        TABLE_BASE + WORD * i: i % 251 for i in range(words)
-    }
+    memory = ImageBuilder()
+    memory.fill(TABLE_BASE, array("q", [i % 251 for i in range(words)]))
     source = f"""
         li r1, 0
         li r2, {count}
@@ -318,7 +312,7 @@ def make_stream_kernel(
     warm_list = _warm_region(TABLE_BASE, min(words, 4096)) if warm else ()
     return Workload(
         name=name,
-        program=assemble(source, memory, name=name),
+        program=assemble(source, memory.build(), name=name),
         warm_addresses=warm_list,
         description=description or f"stream over {words} words",
     )
@@ -337,11 +331,8 @@ def make_stride_reuse(
 ) -> Workload:
     """Repeated passes over a block (L2-resident reuse, x264-like)."""
     rng = random.Random(seed)
-    memory: dict[int, int | float] = dict(zip(
-        range(TABLE_BASE, TABLE_BASE + WORD * block_words, WORD),
-        _randbelow_many(rng, block_words, block_words),
-        strict=True,
-    ))
+    memory = ImageBuilder()
+    memory.fill(TABLE_BASE, _randbelow_many(rng, block_words, block_words))
     source = f"""
         li r1, 0
         li r2, {passes}
@@ -369,7 +360,7 @@ def make_stride_reuse(
     warm = _warm_region(TABLE_BASE, block_words) if warm_table else ()
     return Workload(
         name=name,
-        program=assemble(source, memory, name=name),
+        program=assemble(source, memory.build(), name=name),
         warm_addresses=warm,
         description=description or f"{passes} passes over {block_words}-word block",
     )
@@ -399,22 +390,16 @@ def make_fp_dense(
     rng = random.Random(seed)
     if elems & (elems - 1) or companion_words & (companion_words - 1):
         raise ValueError("elems and companion_words must be powers of two")
-    memory: dict[int, int | float] = {}
-    for i in range(elems):
+    operands = array("d")
+    for _ in range(elems):
         if rng.random() < subnormal_frac:
-            memory[TABLE_BASE + WORD * i] = SUBNORMAL_VALUE
+            operands.append(SUBNORMAL_VALUE)
         else:
-            memory[TABLE_BASE + WORD * i] = 1.0 + rng.random()
-    memory.update(zip(
-        range(AUX_BASE, AUX_BASE + WORD * companion_words, WORD),
-        _randbelow_many(rng, 1000, companion_words),
-        strict=True,
-    ))
-    memory.update(zip(
-        range(INDEX_BASE, INDEX_BASE + WORD * iterations, WORD),
-        _randbelow_many(rng, companion_words, iterations),
-        strict=True,
-    ))
+            operands.append(1.0 + rng.random())
+    memory = ImageBuilder()
+    memory.fill(TABLE_BASE, operands)
+    memory.fill(AUX_BASE, _randbelow_many(rng, 1000, companion_words))
+    memory.fill(INDEX_BASE, _randbelow_many(rng, companion_words, iterations))
     source = f"""
         li r1, 0
         li r2, {iterations}
@@ -453,7 +438,7 @@ def make_fp_dense(
     )
     return Workload(
         name=name,
-        program=assemble(source, memory, name=name),
+        program=assemble(source, memory.build(), name=name),
         warm_addresses=warm,
         description=description or f"fp-dense over {elems} elems",
     )
@@ -776,17 +761,9 @@ def make_mixed_kernel(
 ) -> Workload:
     """gcc-like mixture: stride loads, one indirect load, two branches."""
     rng = random.Random(seed)
-    memory: dict[int, int | float] = {}
-    memory.update(zip(
-        range(TABLE_BASE, TABLE_BASE + WORD * table_words, WORD),
-        _randbelow_many(rng, table_words, table_words),
-        strict=True,
-    ))
-    memory.update(zip(
-        range(INDEX_BASE, INDEX_BASE + WORD * iterations, WORD),
-        _randbelow_many(rng, 1000, iterations),
-        strict=True,
-    ))
+    memory = ImageBuilder()
+    memory.fill(TABLE_BASE, _randbelow_many(rng, table_words, table_words))
+    memory.fill(INDEX_BASE, _randbelow_many(rng, 1000, iterations))
     source = f"""
         li r1, 0
         li r2, {iterations}
@@ -814,7 +791,7 @@ def make_mixed_kernel(
     warm = _warm_region(INDEX_BASE, iterations) + _warm_region(TABLE_BASE, table_words)
     return Workload(
         name=name,
-        program=assemble(source, memory, name=name),
+        program=assemble(source, memory.build(), name=name),
         warm_addresses=warm,
         description=description or "mixed stride/indirect kernel",
     )

@@ -149,7 +149,19 @@ SPEC17_NAMES: tuple[str, ...] = tuple(_builders(1.0))
 @cache
 def workload_by_name(name: str) -> Workload:
     """The scale-1.0 kernel ``name``, built on first use and kept."""
-    builder = _builders(1.0).get(name)
+    return _build(name, 1.0)
+
+
+def scaled_workload(name: str, scale: float = 1.0) -> Workload:
+    """The kernel ``name`` at ``scale``: the kept one of
+    :func:`workload_by_name` at 1.0, built afresh at any other scale."""
+    if scale == 1.0:
+        return workload_by_name(name)
+    return _build(name, scale)
+
+
+def _build(name: str, scale: float) -> Workload:
+    builder = _builders(scale).get(name)
     if builder is None:
         raise KeyError(f"no workload named {name!r}; available: {list(SPEC17_NAMES)}")
     return builder(name)
@@ -163,6 +175,4 @@ def suite(scale: float = 1.0) -> tuple[Workload, ...]:
     :func:`workload_by_name`, so every call returns the same objects; any
     other scale builds afresh.
     """
-    if scale == 1.0:
-        return tuple(workload_by_name(name) for name in SPEC17_NAMES)
-    return tuple(build(name) for name, build in _builders(scale).items())
+    return tuple(scaled_workload(name, scale) for name in SPEC17_NAMES)

@@ -1,6 +1,7 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import json
+import re
 
 import pytest
 
@@ -120,6 +121,33 @@ def test_sweep_unknown_workload_rejected(tmp_path):
             "sweep", "--workloads", "nope", "--scale", "0.05",
             "--cache-dir", str(tmp_path),
         ])
+
+
+def test_sweep_builds_only_the_named_kernels(monkeypatch, capsys):
+    """``--workloads`` builds each kernel it names once and no other, so
+    asking for one kernel never draws ``mcf_like``'s table."""
+    from repro.workloads import spec17
+
+    built = []
+    real_builders = spec17._builders
+
+    def counting_builders(scale):
+        def counted(name, build):
+            return lambda *args, **kwargs: built.append(name) or build(*args, **kwargs)
+
+        return {name: counted(name, build) for name, build in real_builders(scale).items()}
+
+    monkeypatch.setattr(spec17, "_builders", counting_builders)
+    assert main([
+        "sweep", "--workloads", "exchange2_like", "--configs", "Unsafe",
+        "--models", "spectre", "--scale", "0.05", "--no-cache", "--jobs", "1",
+    ]) == 0
+    assert "Figure 6" in capsys.readouterr().out
+    assert built == ["exchange2_like"]
+    message = f"unknown workloads: ['nope']; available: {sorted(spec17.SPEC17_NAMES)}"
+    with pytest.raises(KeyError, match=re.escape(message)):
+        main(["sweep", "--workloads", "exchange2_like,nope", "--scale", "0.05", "--no-cache"])
+    assert built == ["exchange2_like"]
 
 
 def corrupt_first_line(path):
