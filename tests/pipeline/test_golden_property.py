@@ -142,5 +142,6 @@ def test_random_programs_commit_golden_stream(config_name, model, seed, length):
     for arch in range(32):
         core_value = core.prf.value[core.rename_map.lookup(arch)]
         assert core_value == golden.state.read_reg(arch), f"r{arch}"
-    for addr, value in golden.state.memory.items():
-        assert core.committed.read_mem(addr) == value
+    # Both hold exactly the words committed stores wrote (the program's
+    # image is shared, never copied), so a store to a wrong address shows.
+    assert core.committed.memory == golden.state.memory
