@@ -705,15 +705,20 @@ class MemoryHierarchy:
         """
         addrs = list(addrs)
         line_size = self.config.line_size
-        lines = [addr // line_size for addr in addrs]
-        recent = list(dict.fromkeys(reversed(lines)))
-        for array, dirty in ((self.l1.array, write), (self.l2.array, False)):
-            if array.is_empty():
+        # The distinct lines, most recently used first.
+        recent = list(dict.fromkeys([addr // line_size for addr in reversed(addrs)]))
+        private = [(self.l1.array, write), (self.l2.array, False)]
+        slices = [level.array for level in self.l3_slices]
+        empty = [array.is_empty() for array, _ in private]
+        slices_empty = all(array.is_empty() for array in slices)
+        # The whole stream, only for arrays that already hold lines.
+        lines = None if all(empty) and slices_empty else [addr // line_size for addr in addrs]
+        for (array, dirty), fresh in zip(private, empty, strict=True):
+            if fresh:
                 array.install_recent(recent, dirty)
             else:
                 array.fill_many(lines, dirty)
-        slices = [level.array for level in self.l3_slices]
-        if all(array.is_empty() for array in slices):
+        if slices_empty:
             per_slice = lines_by_slice(recent, len(slices))
             for array, slice_recent in zip(slices, per_slice, strict=True):
                 array.install_recent(slice_recent)

@@ -113,26 +113,32 @@ def lines_by_slice(lines, num_slices: int) -> list[list[int]]:
     == s``.  The digit fold is an XOR, so it splits at any digit boundary:
     a line's fold is the table entry of its low digits XOR'd with the
     fold of its high part, memoized (a warm set is dense, so it has few
-    distinct high parts), instead of a digit loop per line.
+    distinct high parts, and consecutive lines mostly share one), instead
+    of a digit loop per line.
     """
     buckets: list[list[int]] = [[] for _ in range(num_slices)]
     if num_slices == 1:
         buckets[0].extend(lines)
         return buckets
     radix, table = slice_fold_table(num_slices)
-    appends = [bucket.append for bucket in buckets]
+    # A fold XORs digits below num_slices, so it stays below the next power
+    # of two: index the appends by the fold itself, reduced once here.
+    width = 1 << (num_slices - 1).bit_length()
+    appends = [buckets[fold % num_slices].append for fold in range(width)]
     high_folds: dict[int, int] = {}
+    high = high_fold = None
     for line in lines:
-        high = line // radix
-        high_fold = high_folds.get(high)
-        if high_fold is None:
-            high_fold = 0
-            rest = high
-            while rest:
-                high_fold ^= table[rest % radix]
-                rest //= radix
-            high_folds[high] = high_fold
-        appends[(table[line % radix] ^ high_fold) % num_slices](line)
+        if line // radix != high:
+            high = line // radix
+            high_fold = high_folds.get(high)
+            if high_fold is None:
+                high_fold = 0
+                rest = high
+                while rest:
+                    high_fold ^= table[rest % radix]
+                    rest //= radix
+                high_folds[high] = high_fold
+        appends[table[line % radix] ^ high_fold](line)
     return buckets
 
 

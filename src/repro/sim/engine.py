@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import multiprocessing
 import signal
 import sys
 import threading
@@ -40,7 +39,6 @@ import time
 import traceback
 from collections import deque
 from dataclasses import dataclass
-from queue import Empty
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.pipeline.core import SimulationHang
@@ -148,7 +146,12 @@ def _pool_context():
     and the program digests the parent computed for its cache and trace
     keys come along; under ``spawn`` the list is pickled once per worker,
     not once per cell.
+
+    ``multiprocessing`` is imported here, on the pool path alone, so an
+    in-process sweep never loads it.
     """
+    import multiprocessing
+
     if "fork" in multiprocessing.get_all_start_methods():
         return multiprocessing.get_context("fork")
     return multiprocessing.get_context()
@@ -380,7 +383,9 @@ class SweepEngine:
         return request.instrumentation is None or not request.instrumentation.active
 
     def _key(self, index: int, request: RunRequest) -> str:
-        """Memoized cache key for slot ``index`` (journal + retry jitter)."""
+        """Memoized cache key for slot ``index``: one :func:`cache_key` per
+        cell per sweep, shared by the result cache, the journal and the
+        retry jitter."""
         key = self._keys.get(index)
         if key is None:
             key = self._keys[index] = cache_key(request)
@@ -471,7 +476,7 @@ class SweepEngine:
                     )
                 return True
         if self.cache is not None:
-            cached = self.cache.get(request)
+            cached = self.cache.get(request, self._key(index, request))
             if cached is not None:
                 results[index] = cached
                 if self.journal is not None:
@@ -528,6 +533,8 @@ class SweepEngine:
     # ------------------------------------------------------------------ #
 
     def _run_pool(self, requests, pending, results, guard) -> None:
+        from queue import Empty
+
         ctx = _pool_context()
         workers = min(self.jobs, len(pending))
         outbox = ctx.Queue()
@@ -750,7 +757,7 @@ class SweepEngine:
         results[index] = metrics
         if self._cacheable(request):
             if self.cache is not None:
-                self.cache.put(request, metrics)
+                self.cache.put(request, metrics, self._key(index, request))
             if self.journal is not None:
                 self.journal.record(self._key(index, request), metrics)
         self._emit(

@@ -60,8 +60,9 @@ def _warm_region(base: int, words: int) -> tuple[int, ...]:
 
 
 def _randbelow_many(rng: random.Random, n: int, count: int) -> array:
-    """``array('q', [rng.randrange(n) for _ in range(count)])``, drawn in
-    bulk (``n`` at most ``2**63``).
+    """``[rng.randrange(n) for _ in range(count)]`` as an array, drawn in
+    bulk (``n`` at most ``2**63``): ``array('i')`` when ``n`` is at most
+    ``2**31``, so that every value fits 32 bits, ``array('q')`` otherwise.
 
     Returns the same values and leaves ``rng`` in the same state.
     ``randrange(n)`` keeps the top ``n.bit_length()`` bits of one 32-bit
@@ -77,7 +78,7 @@ def _randbelow_many(rng: random.Random, n: int, count: int) -> array:
     if not 0 < bits <= 32:
         return array("q", [rng.randrange(n) for _ in range(count)])
     shift = 32 - bits
-    values = array("q")
+    values = array("i" if n <= 1 << 31 else "q")
     missing = count
     while missing:
         take = min(missing, _DRAW_CHUNK)
@@ -190,9 +191,10 @@ def make_pointer_chase(
     permutation = list(range(nodes))
     rng.shuffle(permutation)
     node_addr = [TABLE_BASE + 16 * i for i in range(nodes)]
-    # Node i is the words {value, next} at TABLE_BASE + 16 * i: one run.
+    # Node i is the words {value, next} at TABLE_BASE + 16 * i: one run, and
+    # a run has one typecode, so the 32-bit value draw is widened into it.
     nodes_run = array("q", bytes(16 * nodes))
-    nodes_run[0::2] = _randbelow_many(rng, 1000, nodes)
+    nodes_run[0::2] = array("q", _randbelow_many(rng, 1000, nodes))
     nodes_run[1::2] = array("q", [node_addr[successor] for successor in permutation])
     memory = ImageBuilder()
     memory.fill(TABLE_BASE, nodes_run)
@@ -291,7 +293,7 @@ def make_stream_kernel(
     """Sequential streaming: b[i] = a[i] + s — one L1 miss per 8 accesses."""
     count = iterations if iterations is not None else words
     memory = ImageBuilder()
-    memory.fill(TABLE_BASE, array("q", [i % 251 for i in range(words)]))
+    memory.fill(TABLE_BASE, array("i", [i % 251 for i in range(words)]))
     source = f"""
         li r1, 0
         li r2, {count}

@@ -8,7 +8,8 @@ changes inside would-be runs included; addresses mix aligned words (which
 the image keeps in typed-array runs) with unaligned ones, and values mix
 run-typed words with the ones no run can hold: ints beyond int64,
 ``-0.0``, ``nan``, and ``1`` against ``1.0``.  The ``ImageBuilder`` takes
-typed arrays over disjoint regions, in any order, and rejects the rest.
+typed arrays (32- and 64-bit ints, doubles) over disjoint regions, in
+any order, and rejects the rest.
 
 The isolation tests check the other half of the contract: simulated runs
 read through a program's image and never write into it.
@@ -59,7 +60,12 @@ operations = st.lists(
     ),
     max_size=30,
 )
+INT32 = st.one_of(
+    st.integers(min_value=-(2**31), max_value=2**31 - 1),
+    st.sampled_from([-(2**31), 2**31 - 1, -(2**31) + 1, 2**31 - 2]),
+)
 typed_runs = st.one_of(
+    st.lists(INT32, max_size=12).map(lambda values: array("i", values)),
     st.lists(INT64, max_size=12).map(lambda values: array("q", values)),
     st.lists(st.floats(), max_size=12).map(lambda values: array("d", values)),
 )
@@ -144,6 +150,8 @@ def test_constructed_image_behaves_like_the_dict_it_copies(ops):
 @given(disjoint_fills())
 @example([])
 @example([(8, array("q", [3])), (0, array("q", [1])), (16, array("d", [1.0, -0.0]))])
+@example([(16, array("i", [2**31 - 1, -(2**31)])), (0, array("q", [2**31, -(2**31) - 1]))])
+@example([(0, array("i", [1, 2])), (16, array("q", [3])), (24, array("i", [4]))])
 def test_filled_image_behaves_like_the_dict_filled_the_same_way(fills):
     builder = ImageBuilder()
     for base, run in fills:
@@ -157,7 +165,8 @@ def test_fill_takes_only_typed_arrays_over_free_aligned_regions():
     builder.fill(64, array("q", [1, 2, 3]))
     for base, values in [
         (0, [1, 2]),  # a list, not an array
-        (0, array("i", [1, 2])),  # an array no run holds
+        (0, array("b", [1, 2])),  # arrays no run holds
+        (0, array("f", [1.0, 2.0])),
     ]:
         with pytest.raises(TypeError):
             builder.fill(base, values)
@@ -166,7 +175,10 @@ def test_fill_takes_only_typed_arrays_over_free_aligned_regions():
             builder.fill(base, array("q", [9, 9]))
     builder.fill(48, array("d", [0.5, 1.5]))  # ends where the first run starts
     builder.fill(88, array("q", []))
-    assert dict(builder.build()) == {64: 1, 72: 2, 80: 3, 48: 0.5, 56: 1.5}
+    builder.fill(88, array("i", [-(2**31), 2**31 - 1]))  # 32-bit ints are a run too
+    assert dict(builder.build()) == {
+        64: 1, 72: 2, 80: 3, 48: 0.5, 56: 1.5, 88: -(2**31), 96: 2**31 - 1
+    }
 
 
 def test_image_rejects_every_mutation():

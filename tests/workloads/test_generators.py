@@ -102,17 +102,26 @@ class TestGeneratorsProduceRunnablePrograms:
         ]
 
 
+def draw_typecode(n: int) -> str:
+    """32-bit storage exactly when every value below ``n`` fits it."""
+    return "i" if n <= 2**31 else "q"
+
+
 class TestBulkDraw:
     @pytest.mark.parametrize(
-        "n", [1, 2, 3, 1000, 2048, 320 * 1024, 1 << 30, (1 << 32) - 1, (1 << 32) + 1]
+        "n",
+        [
+            1, 2, 3, 1000, 2048, 320 * 1024, 1 << 30, (1 << 31) - 1, 1 << 31,
+            (1 << 31) + 1, (1 << 32) - 1, (1 << 32) + 1,
+        ],
     )
     @pytest.mark.parametrize("seed", [0, 1, 11, 2**31 + 5])
     @pytest.mark.parametrize("count", [0, 1, 7, 600])
     def test_matches_one_randrange_per_value(self, n, seed, count):
         bulk, single = random.Random(seed), random.Random(seed)
-        assert _randbelow_many(bulk, n, count) == array(
-            "q", [single.randrange(n) for _ in range(count)]
-        )
+        values = _randbelow_many(bulk, n, count)
+        assert values == array("q", [single.randrange(n) for _ in range(count)])
+        assert values.typecode == draw_typecode(n)
         assert bulk.getstate() == single.getstate()
 
     @pytest.mark.parametrize("n", [1000, 320 * 1024, 1 << 30])
@@ -122,9 +131,9 @@ class TestBulkDraw:
         order: ``getrandbits(32 * a)`` then ``getrandbits(32 * b)`` is
         ``getrandbits(32 * (a + b))``."""
         bulk, single = random.Random(7), random.Random(7)
-        assert _randbelow_many(bulk, n, count) == array(
-            "q", [single.randrange(n) for _ in range(count)]
-        )
+        values = _randbelow_many(bulk, n, count)
+        assert values == array("q", [single.randrange(n) for _ in range(count)])
+        assert values.typecode == draw_typecode(n)
         assert bulk.getstate() == single.getstate()
 
 
@@ -136,13 +145,15 @@ class TestSuite:
 
     def test_mcf_like_image_is_stored_compactly(self):
         """A deterministic footprint guard, no RSS reading: the 328k words
-        of ``mcf_like`` sit in typed-array runs (8 bytes a word), so any
-        fall-back to one dict entry per word (~32 bytes of table alone,
-        before the int objects) trips the 4 MB bound."""
+        of ``mcf_like`` (indices below 320k, values below 1000) sit in
+        32-bit typed-array runs (4 bytes a word, 1.25 MB), so storing them
+        in 64-bit runs (2.5 MB) or any fall-back to one dict entry per word
+        (~32 bytes of table alone, before the int objects) trips the
+        1.5 MB bound."""
         image = workload_by_name("mcf_like").program.initial_memory
         assert len(image) == 328_100
         runs = sum(run.buffer_info()[1] * run.itemsize for _, run in image._runs)
-        assert runs + sys.getsizeof(image._words) <= 4 * 1024 * 1024
+        assert runs + sys.getsizeof(image._words) <= 1.5 * 1024 * 1024
 
     def test_full_scale_suite_is_built_once(self):
         first, second = suite(), suite()
