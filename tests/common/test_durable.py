@@ -19,7 +19,7 @@ from repro.common.config import AttackModel
 from repro.common.durable import BlobStore, CorruptLogError, JsonlLog
 from repro.isa.assembler import assemble
 from repro.sim.api import RunMetrics, RunRequest
-from repro.sim.cache import ResultCache
+from repro.sim.cache import ResultCache, cache_key
 from repro.sim.configs import config_by_name
 from repro.workloads.workload import Workload
 
@@ -141,17 +141,18 @@ def test_cache_entry_truncations_and_flips_never_change_metrics(stored, mask):
     request = RunRequest(Workload("w", assemble("halt", name="w")), config_by_name("Hybrid"))
     with tempfile.TemporaryDirectory() as directory:
         cache = ResultCache(directory)
-        path = cache.put(request, stored)
+        key = cache_key(request)
+        path = cache.put(request, stored, key)
         blob = path.read_bytes()
         for cut in range(len(blob)):
             path.write_bytes(blob[:cut])
-            assert cache.get(request) is None
+            assert cache.get(request, key) is None
         misses = 0
         for position in range(len(blob)):
             flipped = bytearray(blob)
             flipped[position] ^= mask
             path.write_bytes(bytes(flipped))
-            loaded = cache.get(request)
+            loaded = cache.get(request, key)
             if loaded is None:
                 misses += 1
             else:

@@ -119,17 +119,18 @@ class TestCacheKey:
 class TestResultCache:
     def test_miss_returns_none(self, tmp_path):
         cache = ResultCache(tmp_path)
-        assert cache.get(make_request()) is None
+        request = make_request()
+        assert cache.get(request, cache_key(request)) is None
         assert len(cache) == 0
 
     def test_put_get_roundtrip(self, tmp_path):
         cache = ResultCache(tmp_path)
         request = make_request()
         stored = metrics_for(request)
-        cache.put(request, stored)
+        cache.put(request, stored, cache_key(request))
         assert len(cache) == 1
         assert request in cache
-        loaded = cache.get(request)
+        loaded = cache.get(request, cache_key(request))
         assert loaded == stored
         assert loaded.stats == stored.stats
 
@@ -137,9 +138,9 @@ class TestResultCache:
         """A renamed identical workload hits, with the new name stamped on."""
         cache = ResultCache(tmp_path)
         request = make_request()
-        cache.put(request, metrics_for(request))
+        cache.put(request, metrics_for(request), cache_key(request))
         renamed = make_request(workload=make_workload(name="other_name"))
-        loaded = cache.get(renamed)
+        loaded = cache.get(renamed, cache_key(renamed))
         assert loaded is not None
         assert loaded.workload == "other_name"
         assert loaded.cycles == 1234
@@ -147,46 +148,47 @@ class TestResultCache:
     def test_different_config_misses(self, tmp_path):
         cache = ResultCache(tmp_path)
         request = make_request()
-        cache.put(request, metrics_for(request))
-        assert cache.get(make_request(config=config_by_name("Perfect"))) is None
+        cache.put(request, metrics_for(request), cache_key(request))
+        other = make_request(config=config_by_name("Perfect"))
+        assert cache.get(other, cache_key(other)) is None
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
         request = make_request()
-        cache.put(request, metrics_for(request))
+        cache.put(request, metrics_for(request), cache_key(request))
         path = cache.path_for(cache_key(request))
         path.write_text("{not json")
-        assert cache.get(request) is None
+        assert cache.get(request, cache_key(request)) is None
 
     def test_flipped_digit_is_a_miss(self, tmp_path):
         """Regression: a v2 entry with one digit changed on disk was served
         as truth; the entry's CRC now turns it into a miss."""
         cache = ResultCache(tmp_path)
         request = make_request()
-        cache.put(request, metrics_for(request, cycles=1234))
+        cache.put(request, metrics_for(request, cycles=1234), cache_key(request))
         path = cache.path_for(cache_key(request))
         text = path.read_text()
         assert '"cycles": 1234' in text
         path.write_text(text.replace('"cycles": 1234', '"cycles": 2234'))
-        assert cache.get(request) is None
+        assert cache.get(request, cache_key(request)) is None
 
     def test_wrong_key_in_payload_is_a_miss(self, tmp_path):
         """A file landing under the wrong name must not be trusted."""
         cache = ResultCache(tmp_path)
         request = make_request()
-        cache.put(request, metrics_for(request))
+        cache.put(request, metrics_for(request), cache_key(request))
         path = cache.path_for(cache_key(request))
         payload = json.loads(path.read_text())
         payload["key"] = "0" * 64
         path.write_text(json.dumps(payload))
-        assert cache.get(request) is None
+        assert cache.get(request, cache_key(request)) is None
 
     def test_clear(self, tmp_path):
         cache = ResultCache(tmp_path)
         request = make_request()
-        cache.put(request, metrics_for(request))
+        cache.put(request, metrics_for(request), cache_key(request))
         assert cache.clear() == 1
-        assert cache.get(request) is None
+        assert cache.get(request, cache_key(request)) is None
         assert len(cache) == 0
 
     def test_metrics_roundtrip_preserves_numbers_exactly(self, tmp_path):
@@ -202,8 +204,8 @@ class TestResultCache:
             instructions=123456,
             stats={"a": 0.1 + 0.2, "b": 3, "c": 1e-17},
         )
-        cache.put(request, stored)
-        assert cache.get(request) == stored
+        cache.put(request, stored, cache_key(request))
+        assert cache.get(request, cache_key(request)) == stored
 
 
 class TestConcurrentWriters:
@@ -223,7 +225,7 @@ class TestConcurrentWriters:
         monkeypatch.setattr(tempfile_module, "mkstemp", spying_mkstemp)
         cache = ResultCache(tmp_path)
         request = make_request()
-        path = cache.put(request, metrics_for(request))
+        path = cache.put(request, metrics_for(request), cache_key(request))
         assert seen_dirs == [path.parent]
 
     def test_racing_writers_never_produce_a_torn_entry(self, tmp_path):
@@ -234,11 +236,12 @@ class TestConcurrentWriters:
         ctx = multiprocessing.get_context("fork")
         cache = ResultCache(tmp_path)
         request = make_request()
+        key = cache_key(request)
         rounds = 50
 
         def hammer(cycles_value):
             for _ in range(rounds):
-                cache.put(request, metrics_for(request, cycles=cycles_value))
+                cache.put(request, metrics_for(request, cycles=cycles_value), key)
 
         writers = [
             ctx.Process(target=hammer, args=(cycles,)) for cycles in (111, 222)
@@ -249,7 +252,7 @@ class TestConcurrentWriters:
         observed = set()
         try:
             while any(w.is_alive() for w in writers):
-                loaded = cache.get(request)
+                loaded = cache.get(request, key)
                 if loaded is not None:
                     assert loaded.cycles in valid_cycles, "torn cache entry"
                     observed.add(loaded.cycles)
@@ -257,7 +260,7 @@ class TestConcurrentWriters:
             for writer in writers:
                 writer.join(timeout=30)
         assert all(w.exitcode == 0 for w in writers)
-        final = cache.get(request)
+        final = cache.get(request, key)
         assert final is not None and final.cycles in valid_cycles
         assert len(cache) == 1, "one key must map to exactly one entry file"
 
